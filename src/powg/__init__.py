@@ -28,9 +28,11 @@ from .graphs import (
 )
 from .distance import (
     DistanceDistribution,
+    DistanceProfile,
     RationalExponentPolynomial,
     all_pairs_distances,
     diameter,
+    distance_profile,
     hosoya_polynomial,
     rs_hosoya_polynomial,
     reciprocal_status,

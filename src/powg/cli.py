@@ -155,9 +155,9 @@ def _cmd_invariant(args) -> int:
     elif args.which == "wiener":
         print(wiener_index(graph))
     elif args.which == "matching-poly":
-        print(matching_polynomial(graph, memo_limit=_memo_limit()).render())
+        print(matching_polynomial(graph, memo_limit=DEFAULT_MEMO_LIMIT).render())
     else:  # hosoya-index
-        print(matching_polynomial(graph, memo_limit=_memo_limit()).hosoya_index)
+        print(matching_polynomial(graph, memo_limit=DEFAULT_MEMO_LIMIT).hosoya_index)
     return EXIT_OK
 
 
@@ -196,17 +196,13 @@ def _cmd_verify(args) -> int:
     doc = verify_cases(ks, ps,
                        skip_index_above=args.skip_index_above,
                        use_cache=not args.no_cache,
-                       memo_limit=_memo_limit())
+                       memo_limit=DEFAULT_MEMO_LIMIT)
     text = render_report(doc)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     return EXIT_OK
-
-
-def _memo_limit() -> int:
-    return DEFAULT_MEMO_LIMIT
 
 
 _DISPATCH = {

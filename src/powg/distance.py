@@ -1,5 +1,7 @@
-"""Exact distance-based invariants: distance distribution, reciprocal status,
-and their generating polynomials.
+"""Exact distance-based invariants: distance distribution, reciprocal status
+and their generating polynomials, all derived from one DistanceProfile (per
+vertex, one bitmask BFS recording only layer sizes).  bfs_distances and
+all_pairs_distances build full tables by queue BFS: the independent oracle.
 
 Convention: the distance-0 count equals the number of vertices (self pairs
 are counted), so the coefficient total is n + C(n, 2) for a connected graph.
@@ -9,34 +11,25 @@ separately so the total is always conserved.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .graphs import Graph
 
 
 def bfs_distances(graph: Graph, src: int) -> list[int]:
-    """Shortest-path distances from src; -1 marks unreachable vertices."""
+    """Shortest-path distances from src by a queue BFS; -1 marks unreachable."""
     dist = [-1] * graph.n
     dist[src] = 0
-    seen = 1 << src
-    frontier = 1 << src
-    d = 0
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            nxt |= graph.adj[low.bit_length() - 1]
-            m ^= low
-        frontier = nxt & ~seen
-        seen |= frontier
-        d += 1
-        m = frontier
-        while m:
-            low = m & -m
-            dist[low.bit_length() - 1] = d
-            m ^= low
+    queue = [src]
+    for u in queue:  # appending while iterating makes the list a FIFO queue
+        for w in graph.neighbors(u):
+            if dist[w] < 0:
+                dist[w] = dist[u] + 1
+                queue.append(w)
     return dist
 
 
@@ -65,50 +58,70 @@ class DistanceDistribution:
         return sum(i * c for i, c in enumerate(self.counts))
 
     def polynomial_string(self) -> str:
-        parts = []
-        for i, c in enumerate(self.counts):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}x")
-            else:
-                parts.append(f"{c}x^{i}")
+        parts = [str(c) if i == 0 else f"{c}x" if i == 1 else f"{c}x^{i}"
+                 for i, c in enumerate(self.counts) if c]
         return " + ".join(parts) if parts else "0"
+
+
+def _layer_sizes(graph: Graph, src: int) -> tuple[int, ...]:
+    """Sizes of the BFS layers around src; entry d counts vertices at distance d."""
+    adj, full = graph.adj, (1 << graph.n) - 1
+    seen = frontier = 1 << src
+    sizes = []
+    while frontier:
+        sizes.append(frontier.bit_count())
+        if seen == full:  # every vertex reached: skip the last, empty expansion
+            break
+        nxt, m = 0, frontier
+        while m:
+            low = m & -m
+            nxt |= adj[low.bit_length() - 1]
+            m ^= low
+        frontier = nxt & ~seen
+        seen |= frontier
+    return tuple(sizes)
+
+
+@dataclass(frozen=True)
+class DistanceProfile:
+    """Layer sizes of every vertex: layers[v][d] vertices lie at distance d from v."""
+
+    graph: Graph
+    layers: tuple[tuple[int, ...], ...]
+
+    def distribution(self) -> DistanceDistribution:
+        """Distance counts (unordered pairs for d >= 1) and unreachable pairs."""
+        n = self.graph.n
+        pairs = [sum(col) for col in zip_longest(*self.layers, fillvalue=0)]
+        return DistanceDistribution((n, *(c // 2 for c in pairs[1:])), (n * n - sum(pairs)) // 2)
+
+    def rs_polynomial(self) -> RationalExponentPolynomial:
+        """Sum of x^(rs(v) + rs(w)) over all edges vw; graph must be connected.
+        Summed on the integer scale lcm(1..diam): one Fraction per exponent."""
+        if any(sum(sizes) != self.graph.n for sizes in self.layers):
+            raise ValueError("graph is disconnected: reciprocal status is undefined")
+        scale = math.lcm(*range(1, max(map(len, self.layers), default=1)))
+        rs = [sum(c * (scale // d) for d, c in enumerate(sizes) if d) for sizes in self.layers]
+        terms = Counter(rs[u] + rs[v] for u, v in self.graph.edges())
+        return RationalExponentPolynomial({Fraction(e, scale): c for e, c in terms.items()})
+
+
+def distance_profile(graph: Graph) -> DistanceProfile:
+    """One layer-size BFS per vertex."""
+    return DistanceProfile(graph, tuple(_layer_sizes(graph, v) for v in range(graph.n)))
 
 
 def hosoya_polynomial(graph: Graph) -> DistanceDistribution:
     """Distance distribution of the graph (unordered pairs for distance >= 1)."""
-    table = all_pairs_distances(graph)
-    counts: dict[int, int] = {0: graph.n}
-    unreachable = 0
-    for v in range(graph.n):
-        row = table[v]
-        for w in range(v + 1, graph.n):
-            d = row[w]
-            if d < 0:
-                unreachable += 1
-            else:
-                counts[d] = counts.get(d, 0) + 1
-    diam = max(counts)
-    return DistanceDistribution(
-        counts=tuple(counts.get(i, 0) for i in range(diam + 1)),
-        unreachable_pairs=unreachable,
-    )
+    return distance_profile(graph).distribution()
 
 
 def reciprocal_status(graph: Graph, v: int) -> Fraction:
     """rs(v) = sum over w != v of 1/d(v, w), as an exact rational."""
-    dist = bfs_distances(graph, v)
-    total = Fraction(0)
-    for w in range(graph.n):
-        if w == v:
-            continue
-        if dist[w] < 0:
-            raise ValueError(f"graph is disconnected: no path from {v} to {w}")
-        total += Fraction(1, dist[w])
-    return total
+    sizes = _layer_sizes(graph, v)
+    if sum(sizes) != graph.n:
+        raise ValueError(f"graph is disconnected: {v} does not reach every vertex")
+    return sum((Fraction(c, d) for d, c in enumerate(sizes) if d), Fraction(0))
 
 
 class RationalExponentPolynomial:
@@ -116,12 +129,10 @@ class RationalExponentPolynomial:
     coefficients, used for the reciprocal-status edge polynomial."""
 
     def __init__(self, terms: dict[Fraction, int]):
-        clean: dict[Fraction, int] = {}
         for e, c in terms.items():
             if c <= 0:
                 raise ValueError(f"coefficient {c} at exponent {e} is not positive")
-            clean[Fraction(e)] = int(c)
-        self.terms = dict(sorted(clean.items(), key=lambda t: t[0], reverse=True))
+        self.terms = dict(sorted(((Fraction(e), int(c)) for e, c in terms.items()), reverse=True))
 
     def coefficient_total(self) -> int:
         return sum(self.terms.values())
@@ -147,12 +158,7 @@ class RationalExponentPolynomial:
 
 def rs_hosoya_polynomial(graph: Graph) -> RationalExponentPolynomial:
     """Sum of x^(rs(v) + rs(w)) over all edges vw; graph must be connected."""
-    rs = [reciprocal_status(graph, v) for v in range(graph.n)]
-    terms: dict[Fraction, int] = {}
-    for u, v in graph.edges():
-        e = rs[u] + rs[v]
-        terms[e] = terms.get(e, 0) + 1
-    return RationalExponentPolynomial(terms)
+    return distance_profile(graph).rs_polynomial()
 
 
 def wiener_index(graph: Graph) -> int:
@@ -162,11 +168,5 @@ def wiener_index(graph: Graph) -> int:
 
 def diameter(graph: Graph):
     """Largest eccentricity; math.inf when the graph is disconnected."""
-    import math
-
-    if graph.n <= 1:
-        return 0
     dd = hosoya_polynomial(graph)
-    if dd.unreachable_pairs:
-        return math.inf
-    return dd.diameter
+    return math.inf if dd.unreachable_pairs else dd.diameter

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .distance import RationalExponentPolynomial
 from .groups import FamilyParams
-from .matching import complete_graph_matchings
+from .matching import _k_n_row
 
 MODES = ("printed", "corrected")
 
@@ -48,9 +48,7 @@ def _table_count(n: int, j: int, mode: str) -> int:
     once the order exceeds what n vertices can host (zero-extension)."""
     if j < 1:
         raise ValueError("table factor requires order >= 1; order 0 is handled by callers")
-    if 2 * j > max(n, 0):
-        return 0
-    return complete_graph_matchings(n, j, mode)
+    return _k_n_row(n, mode)[j] if 2 * j <= n else 0
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ a vertex-use mask and no memoization.  All counts are exact Python integers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -200,6 +201,29 @@ def brute_force_matchings(graph: Graph) -> MatchingPolynomial:
     return MatchingPolynomial(tuple(counts))
 
 
+@functools.lru_cache(maxsize=128)
+def _k_n_row(n: int, mode: str) -> tuple[int, ...]:
+    """Tabled K_n matching counts for every order 0..n//2, by the ratio
+    recurrence prod_j = prod_{j-1} * C(n-2j+2, 2).
+
+    The product is divided by j (printed) or j! (corrected); every entry is
+    asserted to divide exactly.  Callers validate mode first.
+    """
+    row = [1]
+    prod = fact = 1
+    for j in range(1, n // 2 + 1):
+        prod *= math.comb(n - 2 * j + 2, 2)
+        fact *= j
+        div = j if mode == "printed" else fact
+        count, rem = divmod(prod, div)
+        if rem:
+            raise ValueError(
+                f"non-integral division in {mode} mode: {prod} / {div} for (n={n}, i={j})"
+            )
+        row.append(count)
+    return tuple(row)
+
+
 def complete_graph_matchings(n: int, i: int, mode: str = "corrected") -> int:
     """Closed-form count of i-edge matchings in the complete graph K_n.
 
@@ -211,21 +235,11 @@ def complete_graph_matchings(n: int, i: int, mode: str = "corrected") -> int:
         raise ValueError(f"unknown mode {mode!r}")
     if i < 0 or 2 * i > n:
         raise ValueError(f"order {i} out of range for K_{n}")
-    if i == 0:
-        return 1
-    prod = 1
-    for s in range(i):
-        prod *= math.comb(n - 2 * s, 2)
-    div = i if mode == "printed" else math.factorial(i)
-    if prod % div != 0:
-        raise ValueError(
-            f"non-integral division in {mode} mode: {prod} / {div} for (n={n}, i={i})"
-        )
-    return prod // div
+    return _k_n_row(n, mode)[i]
 
 
 def telephone_number(n: int) -> int:
     """Number of matchings of K_n (involutions of an n-set)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return sum(complete_graph_matchings(n, i, "corrected") for i in range(n // 2 + 1))
+    return sum(_k_n_row(n, "corrected"))

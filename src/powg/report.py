@@ -12,12 +12,13 @@ from __future__ import annotations
 import json
 import os
 import re
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .distance import diameter, hosoya_polynomial, rs_hosoya_polynomial
+from .distance import distance_profile
 from .formulas import (
     paper_degree_claims,
     paper_edge_type_counts,
@@ -62,10 +63,15 @@ class ResultCache:
 
     def put(self, parts, obj) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
-        path = self._path(parts)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(obj, sort_keys=True), encoding="utf-8")
-        tmp.replace(path)
+        # a unique temp name per writer, so concurrent runs never share one
+        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(obj, sort_keys=True))
+            os.replace(tmp, self._path(parts))
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
 def jsonable(value):
@@ -87,6 +93,25 @@ def jsonable(value):
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+def _cached_run(entry):
+    """(coeffs, stats) of a cached engine run, or None when the entry is absent
+    or malformed (missing fields, non-integer values): a miss, recomputed."""
+    try:
+        coeffs = [_cached_int(c) for c in entry["coeffs"]]
+        stats = {k: _cached_int(entry["stats"][k]) for k in ("memo_entries", "subproblems")}
+    except (TypeError, KeyError, ValueError):
+        return None
+    return (coeffs, stats) if coeffs else None
+
+
+def _cached_int(value) -> int:
+    if isinstance(value, str) and value.isascii() and value.isdigit():
+        return int(value)
+    if type(value) is int:
+        return value
+    raise ValueError(f"not an integer: {value!r}")
+
+
 def _oracle_index(graph, pivots, memo_limit, cache, case_tag):
     """Matching polynomial of the graph for every pivot strategy, with a
     cross-check that all runs agree.  Cached per (case, pivot, version)."""
@@ -94,10 +119,9 @@ def _oracle_index(graph, pivots, memo_limit, cache, case_tag):
     polys = []
     for pivot in pivots:
         key = (case_tag, "matching-poly", pivot, __version__)
-        hit = cache.get(key) if cache is not None else None
+        hit = _cached_run(cache.get(key)) if cache is not None else None
         if hit is not None:
-            coeffs = [int(c) for c in hit["coeffs"]]
-            stats = hit["stats"]
+            coeffs, stats = hit
         else:
             engine = MatchingEngine(graph, pivot=pivot, memo_limit=memo_limit)
             coeffs = list(engine.run().coeffs)
@@ -210,8 +234,9 @@ def compare(k: int, p: int, *, include_index: bool = True,
     timings["build"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    dd = hosoya_polynomial(graph)
-    rs_poly = rs_hosoya_polynomial(graph)
+    profile = distance_profile(graph)
+    dd = profile.distribution()
+    rs_poly = profile.rs_polynomial()
     timings["distance"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

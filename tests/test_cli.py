@@ -159,7 +159,7 @@ def test_verify_deterministic_and_cache(tmp_path):
 
 def test_verify_resource_limit_exit_3(tmp_path, monkeypatch):
     import powg.cli as cli_mod
-    monkeypatch.setattr(cli_mod, "_memo_limit", lambda: 4)
+    monkeypatch.setattr(cli_mod, "DEFAULT_MEMO_LIMIT", 4)
     rc = cli_mod.main(["verify", "--k", "2", "--p", "3", "--no-cache",
                        "--out", str(tmp_path / "x.json")])
     assert rc == 3

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from powg import (
     FamilyParams,
@@ -12,6 +13,7 @@ from powg import (
     build_family,
     build_power_graph,
     diameter,
+    distance_profile,
     hosoya_polynomial,
     reciprocal_status,
     rs_hosoya_polynomial,
@@ -189,3 +191,45 @@ def test_diameter():
 def test_polynomial_string():
     dd = hosoya_polynomial(build_power_graph(build_cyclic(6)))
     assert dd.polynomial_string() == "6 + 13x + 2x^2"
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return Graph.from_edges(n, sorted(edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs())
+def test_profile_matches_all_pairs_oracle(g):
+    table = all_pairs_distances(g)
+    ordered = [d for row in table for d in row]
+    n = g.n
+    reach = [d for d in ordered if d > 0]
+    oracle_counts = (n, *(reach.count(d) // 2 for d in range(1, max(reach, default=0) + 1)))
+
+    dd = distance_profile(g).distribution()
+    assert dd.counts == oracle_counts
+    assert dd.unreachable_pairs == ordered.count(-1) // 2
+    assert wiener_index(g) == dd.wiener == sum(reach) // 2
+    connected = -1 not in ordered
+    assert diameter(g) == (max(reach, default=0) if connected else math.inf)
+
+    for v in range(n):
+        if -1 in table[v]:
+            with pytest.raises(ValueError):
+                reciprocal_status(g, v)
+        else:
+            assert reciprocal_status(g, v) == sum(
+                (Fraction(1, d) for d in table[v] if d > 0), Fraction(0))
+    if connected:
+        rs = [sum((Fraction(1, d) for d in row if d > 0), Fraction(0)) for row in table]
+        terms = {}
+        for u, v in g.edges():
+            terms[rs[u] + rs[v]] = terms.get(rs[u] + rs[v], 0) + 1
+        assert rs_hosoya_polynomial(g).terms == terms
+    else:
+        with pytest.raises(ValueError):
+            rs_hosoya_polynomial(g)

@@ -124,6 +124,34 @@ def test_complete_graph_matchings_modes():
         complete_graph_matchings(4, 1, "rounded")
 
 
+def test_complete_graph_rows_match_factorial_identity():
+    # independent of the ratio recurrence: corrected = n! / (i! 2^i (n-2i)!)
+    # and printed = (i-1)! * corrected, since the two differ by i!/i
+    for n in range(61):
+        for i in range(n // 2 + 1):
+            den = math.factorial(i) * 2 ** i * math.factorial(n - 2 * i)
+            corrected, rem = divmod(math.factorial(n), den)
+            assert rem == 0
+            printed = math.factorial(i - 1) * corrected if i else 1
+            assert complete_graph_matchings(n, i, "corrected") == corrected
+            assert complete_graph_matchings(n, i, "printed") == printed
+        assert telephone_number(n) == sum(
+            complete_graph_matchings(n, i) for i in range(n // 2 + 1))
+
+
+def test_complete_graph_rows_assert_exact_division(monkeypatch):
+    import powg.matching as matching_mod
+
+    matching_mod._k_n_row.cache_clear()
+    # C(., 2) forced to 3 makes prod_2 = 9, which 2! does not divide
+    monkeypatch.setattr(matching_mod.math, "comb", lambda a, b: 3)
+    try:
+        with pytest.raises(ValueError, match="non-integral division"):
+            complete_graph_matchings(6, 2, "corrected")
+    finally:
+        matching_mod._k_n_row.cache_clear()
+
+
 def test_corrected_mode_matches_brute_force():
     for n in (5, 8, 10):
         brute = brute_force_matchings(complete_graph(n))

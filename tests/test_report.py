@@ -1,0 +1,95 @@
+import hashlib
+import json
+import sys
+import threading
+
+import pytest
+
+from powg.cli import main
+from powg.report import ResultCache, render_report, strip_timings, verify_cases
+
+# sha256 of the timing-stripped report below, recorded before the distance
+# and closed-form layers were rebuilt on layer-size profiles and cached rows
+PINNED_REPORT_SHA256 = "4154bb97a6f3309dd81308a4325fe111fbe022f50bea68ed9e4d8bf796b05bec"
+
+
+def test_pinned_report_digest():
+    doc = verify_cases([2, 3, 4], [3, 5], skip_index_above=24, use_cache=False)
+    text = render_report(strip_timings(doc))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED_REPORT_SHA256
+
+
+def test_cache_put_leaves_one_entry_and_no_temp_files(tmp_path):
+    cache = ResultCache(tmp_path)
+    cache.put(("case", "poly"), {"coeffs": ["1"]})
+    cache.put(("case", "poly"), {"coeffs": ["1", "2"]})
+    assert [p.suffix for p in tmp_path.iterdir()] == [".json"]
+    assert cache.get(("case", "poly")) == {"coeffs": ["1", "2"]}
+
+
+def test_concurrent_cache_puts_do_not_collide(tmp_path):
+    cache = ResultCache(tmp_path)
+    errors = []
+
+    def writer(tag):
+        try:
+            for i in range(100):
+                cache.put(("case", "poly"), {"coeffs": [str(tag), str(i)]})
+        except OSError as exc:
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=writer, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert [p.suffix for p in tmp_path.iterdir()] == [".json"]
+    assert cache.get(("case", "poly"))["coeffs"][1] == "99"
+
+
+def test_cache_put_failure_removes_temp_file(tmp_path):
+    cache = ResultCache(tmp_path)
+    with pytest.raises(TypeError):
+        cache.put(("case", "poly"), {"coeffs": object()})
+    assert list(tmp_path.iterdir()) == []
+
+
+def _verify_23(tmp_path, name):
+    out = tmp_path / name
+    rc = main(["verify", "--k", "2", "--p", "3", "--out", str(out)])
+    return rc, json.loads(out.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("entry", [
+    {"stats": {}},
+    {"coeffs": ["1", "77"]},
+    {"coeffs": ["1", "7.5"], "stats": {"memo_entries": 1, "subproblems": 1}},
+    {"coeffs": [1, True], "stats": {"memo_entries": 1, "subproblems": 1}},
+    {"coeffs": ["1"], "stats": {"memo_entries": "many", "subproblems": 1}},
+    {"coeffs": [], "stats": {"memo_entries": 1, "subproblems": 1}},
+    ["not", "an", "entry"],
+])
+def test_corrupt_cache_entry_is_a_miss(tmp_path, monkeypatch, entry):
+    cache_dir = tmp_path / "cache"
+    monkeypatch.setenv("POWG_CACHE_DIR", str(cache_dir))
+    rc, fresh = _verify_23(tmp_path, "fresh.json")
+    assert rc == 0
+    entries = sorted(cache_dir.glob("*.json"))
+    assert len(entries) == 2  # one per pivot
+    for path in entries:
+        path.write_text(json.dumps(entry), encoding="utf-8")
+
+    rc, again = _verify_23(tmp_path, "again.json")
+    assert rc == 0
+    assert again["cases"][0]["oracle"]["hosoya_index"] == 2911488
+    assert strip_timings(again) == strip_timings(fresh)
+    # the corrupt entries were recomputed and overwritten
+    for path in entries:
+        assert json.loads(path.read_text(encoding="utf-8"))["coeffs"][0] == "1"
