@@ -12,14 +12,11 @@ With that encoding <r> occupies the contiguous index prefix 0..2^k p - 1.
 
 from __future__ import annotations
 
-import random
+import operator
 from dataclasses import dataclass
 
 # Explicit n x n tables only; keeps memory at desk scale.
 MAX_ORDER = 1024
-# Full O(n^3) associativity check up to here, random sampling beyond.
-FULL_ASSOC_LIMIT = 128
-ASSOC_SAMPLES_PER_N2 = 10
 
 
 class GroupError(ValueError):
@@ -91,7 +88,6 @@ class FiniteGroup:
     table: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
     family: FamilyParams | None = None
-    assoc_check: str = "by construction"
 
     identity = 0
 
@@ -226,22 +222,25 @@ def build_cyclic(n: int) -> FiniteGroup:
 
 
 def element_order(g: FiniteGroup, x: int) -> int:
-    """Least t >= 1 with x^t = e."""
-    t, y = 1, x
-    while y != 0:
+    """Least t >= 1 with x^t = e; GroupError if no t <= |G| works."""
+    y = x
+    for t in range(1, g.order + 1):
+        if y == 0:
+            return t
         y = g.mult(y, x)
-        t += 1
-    return t
+    raise GroupError(f"powers of element {x} never reach the identity")
 
 
 def cyclic_subgroup(g: FiniteGroup, x: int) -> frozenset[int]:
-    """The subgroup <x> = {x^t : t >= 0}."""
+    """The subgroup <x> = {x^t : t >= 0}; GroupError if no power of x is e."""
     out = {0}
     y = x
-    while y != 0:
+    for _ in range(g.order):
+        if y == 0:
+            return frozenset(out)
         out.add(y)
         y = g.mult(y, x)
-    return frozenset(out)
+    raise GroupError(f"powers of element {x} never reach the identity")
 
 
 def partition(g: FiniteGroup, params: FamilyParams) -> GroupPartition:
@@ -271,15 +270,17 @@ def partition(g: FiniteGroup, params: FamilyParams) -> GroupPartition:
     return GroupPartition(h0, h1, h2, h3, u, tuple(pairs), n)
 
 
-def _validate_table(table: list[list[int]]) -> str:
-    """Check the group axioms; returns a note describing the associativity
-    check mode.  Raises GroupError naming the first witness found."""
+def _validate_table(table: tuple[tuple[int, ...], ...]) -> None:
+    """Check the group axioms exactly, at every order; raises GroupError
+    naming the first witness found.  Associativity is Light's test: if
+    (x·g)·y = x·(g·y) for all x, y and each g of a generating set, it holds
+    for all triples, as the elements passing it are closed under products."""
     n = len(table)
-    ident = list(range(n))
-    if table[0] != ident or [row[0] for row in table] != ident:
+    ident = tuple(range(n))
+    if table[0] != ident or tuple(row[0] for row in table) != ident:
         # locate a genuine identity elsewhere to give the sharper error
         for e in range(1, n):
-            if [row[e] for row in table] == ident and table[e] == ident:
+            if tuple(row[e] for row in table) == ident and table[e] == ident:
                 raise GroupError(f"identity element is at index {e}, not 0")
         raise GroupError("element 0 is not an identity (row or column broken)")
 
@@ -289,31 +290,29 @@ def _validate_table(table: list[list[int]]) -> str:
         if not any(table[y][x] == 0 for y in range(n)):
             raise GroupError(f"element {x} has no left inverse")
 
-    if n <= FULL_ASSOC_LIMIT:
-        for a in range(n):
-            ta = table[a]
-            for b in range(n):
-                tab = table[ta[b]]
-                tb = table[b]
-                for c in range(n):
-                    if tab[c] != ta[tb[c]]:
-                        raise GroupError(
-                            f"associativity fails at triple ({a}, {b}, {c}): "
-                            f"({a}·{b})·{c} = {tab[c]} but {a}·({b}·{c}) = {ta[tb[c]]}"
-                        )
-        return "full"
-
-    rng = random.Random(0)
-    samples = ASSOC_SAMPLES_PER_N2 * n * n
-    for _ in range(samples):
-        a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-        if table[table[a][b]][c] != table[a][table[b][c]]:
-            raise GroupError(
-                f"associativity fails at triple ({a}, {b}, {c}): "
-                f"({a}·{b})·{c} = {table[table[a][b]][c]} "
-                f"but {a}·({b}·{c}) = {table[a][table[b][c]]}"
-            )
-    return f"sampled({samples} triples)"
+    # `reached` is the closure of {0} under right multiplication by the
+    # generators so far, a subgroup once they pass.  A passing g has a right
+    # inverse g' with (x·g)·g' = x, so x -> x·g is injective and reached·g is
+    # a disjoint coset: each generator at least doubles `reached`, so at most
+    # floor(log2 n) generators are needed and no cap is.
+    reached, gens = {0}, []
+    while len(reached) < n:
+        g = next(x for x in range(n) if x not in reached)
+        row_g = table[g]
+        through_g = operator.itemgetter(*row_g)  # row of x -> row of x·(g·y)
+        for x, row_x in enumerate(table):
+            row_xg = table[row_x[g]]
+            if through_g(row_x) != row_xg:
+                y = next(y for y in range(n) if row_xg[y] != row_x[row_g[y]])
+                raise GroupError(
+                    f"associativity fails at triple ({x}, {g}, {y}): "
+                    f"({x}·{g})·{y} = {row_xg[y]} but {x}·({g}·{y}) = {row_x[row_g[y]]}"
+                )
+        gens.append(g)
+        frontier = set(reached)
+        while frontier:
+            frontier = {table[r][h] for r in frontier for h in gens} - reached
+            reached |= frontier
 
 
 def load_cayley_table(text: str) -> FiniteGroup:
@@ -351,7 +350,7 @@ def load_cayley_table(text: str) -> FiniteGroup:
         for v in row:
             if not 0 <= v < n:
                 raise GroupError(f"line {i + 2}: entry {v} out of range 0..{n - 1}")
-        table.append(row)
+        table.append(tuple(row))
 
     labels = [str(i) for i in range(n)]
     for extra_no, ln in enumerate(lines[n + 1:], start=n + 2):
@@ -366,6 +365,6 @@ def load_cayley_table(text: str) -> FiniteGroup:
             raise GroupError(f"line {extra_no}: label index {idx} out of range")
         labels[idx] = parts[2]
 
-    note = _validate_table(table)
-    return FiniteGroup(n, tuple(tuple(row) for row in table), tuple(labels),
-                       assoc_check=note)
+    table = tuple(table)
+    _validate_table(table)
+    return FiniteGroup(n, table, tuple(labels))

@@ -17,7 +17,7 @@ from .graphs import Graph
 
 DEFAULT_MEMO_LIMIT = 1 << 26
 BRUTE_FORCE_MAX_VERTICES = 16
-PIVOT_STRATEGIES = ("max-degree", "min-degree", "first")
+PIVOT_STRATEGIES = ("max-degree", "min-degree")
 
 
 class MatchingLimitError(RuntimeError):
@@ -110,8 +110,6 @@ class MatchingEngine:
         while m:
             low = m & -m
             v = low.bit_length() - 1
-            if self.pivot == "first":
-                return v
             d = (adj[v] & cmask).bit_count()
             if self.pivot == "max-degree":
                 if d > best_d:

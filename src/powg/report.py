@@ -9,7 +9,9 @@ corrupt them.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import os
 import re
 import tempfile
@@ -17,7 +19,15 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from . import __version__
+try:  # builtin sha256 first: importing hashlib maps OpenSSL, about 3.5 MB resident
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+
+from . import __version__, matching
 from .distance import distance_profile
 from .formulas import (
     paper_degree_claims,
@@ -42,8 +52,15 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "powg"
 
 
+@functools.cache
+def _engine_digest() -> str:
+    """sha256 of the matching engine's source; cache entries are keyed by it,
+    so any engine change retires every stored result."""
+    return sha256(Path(matching.__file__).read_bytes()).hexdigest()
+
+
 class ResultCache:
-    """On-disk map for expensive results, keyed by case and code version."""
+    """On-disk map for expensive results, keyed by case and engine source."""
 
     def __init__(self, root: Path | str | None = None):
         self.root = Path(root) if root is not None else default_cache_dir()
@@ -93,15 +110,22 @@ def jsonable(value):
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _cached_run(entry):
-    """(coeffs, stats) of a cached engine run, or None when the entry is absent
-    or malformed (missing fields, non-integer values): a miss, recomputed."""
+def _cached_run(entry, graph):
+    """(coeffs, stats) of a cached engine run, or None when the entry is absent,
+    malformed (missing fields, non-integer values) or contradicts the graph:
+    a miss, recomputed.  The checks are exact identities of any matching
+    polynomial: m_0 = 1, m_1 = |E|, m_2 = C(|E|, 2) - sum_v C(deg v, 2) and
+    at most n // 2 + 1 coefficients."""
     try:
         coeffs = [_cached_int(c) for c in entry["coeffs"]]
         stats = {k: _cached_int(entry["stats"][k]) for k in ("memo_entries", "subproblems")}
     except (TypeError, KeyError, ValueError):
         return None
-    return (coeffs, stats) if coeffs else None
+    edges = graph.edge_count
+    m2 = math.comb(edges, 2) - sum(math.comb(graph.degree(v), 2) for v in range(graph.n))
+    if (coeffs + [0, 0])[:3] != [1, edges, m2] or len(coeffs) > graph.n // 2 + 1:
+        return None
+    return coeffs, stats
 
 
 def _cached_int(value) -> int:
@@ -114,12 +138,12 @@ def _cached_int(value) -> int:
 
 def _oracle_index(graph, pivots, memo_limit, cache, case_tag):
     """Matching polynomial of the graph for every pivot strategy, with a
-    cross-check that all runs agree.  Cached per (case, pivot, version)."""
+    cross-check that all runs agree.  Cached per (case, pivot, engine digest)."""
     runs = []
     polys = []
     for pivot in pivots:
-        key = (case_tag, "matching-poly", pivot, __version__)
-        hit = _cached_run(cache.get(key)) if cache is not None else None
+        key = (case_tag, "matching-poly", pivot, _engine_digest())
+        hit = _cached_run(cache.get(key), graph) if cache is not None else None
         if hit is not None:
             coeffs, stats = hit
         else:

@@ -1,6 +1,13 @@
+import os
 import random
+from pathlib import Path
 
+import powg
 from powg import Graph
+
+# CLI tests spawn `python -m powg`; let the child import the package under test
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(powg.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
 
 
 def complete_graph(n: int) -> Graph:

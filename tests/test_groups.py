@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from powg import (
     FamilyParams,
+    FiniteGroup,
     GroupError,
     build_cyclic,
     build_family,
@@ -10,6 +12,10 @@ from powg import (
     load_cayley_table,
     partition,
 )
+from powg.groups import MAX_ORDER
+
+# a magma with identity 0 in which 1 * 1 = 1, so no power of 1 is e
+NON_GROUP = FiniteGroup(2, ((0, 1), (1, 1)), ("0", "1"))
 
 
 def family(k, p):
@@ -64,6 +70,11 @@ def test_element_order():
     assert element_order(g, g.mult(12, 1)) == 4  # s·r
 
 
+def test_element_order_stops_on_non_group_table():
+    with pytest.raises(GroupError, match="never reach the identity"):
+        element_order(NON_GROUP, 1)
+
+
 def test_cyclic_subgroup():
     g = family(2, 3)
     assert cyclic_subgroup(g, 0) == frozenset({0})
@@ -72,6 +83,11 @@ def test_cyclic_subgroup():
     u = 6
     sr3 = g.mult(sr, g.mult(sr, sr))
     assert cyclic_subgroup(g, sr) == frozenset({0, sr, u, sr3})
+
+
+def test_cyclic_subgroup_stops_on_non_group_table():
+    with pytest.raises(GroupError, match="never reach the identity"):
+        cyclic_subgroup(NON_GROUP, 1)
 
 
 @pytest.mark.parametrize("k,p,sizes", [(2, 3, (2, 10, 6, 6)), (2, 5, (2, 18, 10, 10))])
@@ -138,18 +154,18 @@ def test_h2_order_two_and_h3_order_four(k, p):
                      FamilyParams(k, p).half, FamilyParams(k, p).half)
 
 
+def rows_text(rows) -> str:
+    return "\n".join([str(len(rows))] + [" ".join(map(str, r)) for r in rows]) + "\n"
+
+
 def cayley_text(g) -> str:
-    lines = [str(g.order)]
-    for a in g.elements():
-        lines.append(" ".join(str(g.mult(a, b)) for b in g.elements()))
-    return "\n".join(lines) + "\n"
+    return rows_text(g.table)
 
 
 def test_cayley_roundtrip_z4():
     g = load_cayley_table(cayley_text(build_cyclic(4)))
     assert g.order == 4
     assert element_order(g, 2) == 2
-    assert g.assoc_check == "full"
 
 
 def test_cayley_roundtrip_z2_crlf_and_labels():
@@ -174,6 +190,15 @@ def test_cayley_rejects_non_associative():
     assert "(" in str(exc.value)  # names a witness triple
 
 
+
+def test_cayley_rejects_loop_that_passes_the_first_generator():
+    # Z_3 x Q for a non-associative 5-element loop Q, index a + 3q: the first
+    # generator (1, e) passes, so only a later generator can expose Q
+    q = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    rows = [[(i + j) % 3 + 3 * q[i // 3][j // 3] for j in range(15)] for i in range(15)]
+    with pytest.raises(GroupError, match=r"associativity fails at triple \(\d+, 3, \d+\)"):
+        load_cayley_table(rows_text(rows))
+
 def test_cayley_rejects_identity_elsewhere():
     # Z_2 with elements swapped: identity sits at index 1
     text = "2\n1 0\n0 1\n"
@@ -182,15 +207,48 @@ def test_cayley_rejects_identity_elsewhere():
     assert "index 1" in str(exc.value)
 
 
-def test_cayley_sampled_validation_above_full_limit():
+def test_cayley_exact_validation_at_order_130():
     g = load_cayley_table(cayley_text(build_cyclic(130)))
-    assert g.assoc_check.startswith("sampled(")
-    # the deterministic sampler catches a corrupted non-inverse cell
+    assert g.table == build_cyclic(130).table
+    # a corrupted cell that keeps identity and inverses intact
     rows = [list(r) for r in build_cyclic(130).table]
     rows[5][7] = (rows[5][7] + 1) % 130 or 1
-    text = "\n".join(["130"] + [" ".join(map(str, r)) for r in rows]) + "\n"
-    with pytest.raises(GroupError, match="associativity"):
-        load_cayley_table(text)
+    with pytest.raises(GroupError, match=r"associativity fails at triple \(\d+, \d+, \d+\)"):
+        load_cayley_table(rows_text(rows))
+
+
+FAMILY_PARAMS = [(k, p) for k in range(2, 9) for p in (3, 5, 7, 11, 13)
+                 if (1 << (k + 1)) * p <= MAX_ORDER]
+
+
+@st.composite
+def corrupted_tables(draw):
+    """A relabelled Z_n or family table (identity kept at 0) with one cell
+    outside row 0 and column 0 changed; orders are log-uniform up to
+    MAX_ORDER so large tables stay rare."""
+    if draw(st.booleans()):
+        bits = draw(st.integers(1, MAX_ORDER.bit_length() - 1))
+        g = build_cyclic(draw(st.integers(2, 1 << bits)))
+    else:
+        g = build_family(FamilyParams(*draw(st.sampled_from(FAMILY_PARAMS))))
+    n = g.order
+    perm = [0] + draw(st.permutations(range(1, n)))
+    rows = [[0] * n for _ in range(n)]
+    for a, row in enumerate(g.table):
+        out = rows[perm[a]]
+        for b, ab in enumerate(row):
+            out[perm[b]] = perm[ab]
+    x, y = draw(st.integers(1, n - 1)), draw(st.integers(1, n - 1))
+    rows[x][y] = (rows[x][y] + draw(st.integers(1, n - 1))) % n
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(corrupted_tables())
+def test_single_cell_corruption_is_rejected_at_every_order(rows):
+    # a changed cell breaks the Latin-square property, so no group remains
+    with pytest.raises(GroupError):
+        load_cayley_table(rows_text(rows))
 
 
 def test_cayley_parse_errors():

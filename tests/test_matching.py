@@ -172,7 +172,7 @@ def test_pivot_strategies_agree():
     for _ in range(15):
         g = random_graph(rng, rng.randint(2, 11), 0.5)
         results = {matching_polynomial(g, pivot=piv).coeffs
-                   for piv in ("max-degree", "min-degree", "first")}
+                   for piv in ("max-degree", "min-degree")}
         assert len(results) == 1
     with pytest.raises(ValueError):
         matching_polynomial(complete_graph(3), pivot="random")

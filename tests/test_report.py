@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from powg import report
 from powg.cli import main
 from powg.report import ResultCache, render_report, strip_timings, verify_cases
 
@@ -75,6 +76,11 @@ def _verify_23(tmp_path, name):
     {"coeffs": ["1"], "stats": {"memo_entries": "many", "subproblems": 1}},
     {"coeffs": [], "stats": {"memo_entries": 1, "subproblems": 1}},
     ["not", "an", "entry"],
+    # well-formed but wrong for the 77-edge (2,3) graph: m_1, m_2, length
+    {"coeffs": ["1", "82"], "stats": {"memo_entries": 1, "subproblems": 1}},
+    {"coeffs": ["1", "77", "2161"], "stats": {"memo_entries": 1, "subproblems": 1}},
+    {"coeffs": ["1", "77", "2160"] + ["0"] * 11,
+     "stats": {"memo_entries": 1, "subproblems": 1}},
 ])
 def test_corrupt_cache_entry_is_a_miss(tmp_path, monkeypatch, entry):
     cache_dir = tmp_path / "cache"
@@ -83,6 +89,7 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path, monkeypatch, entry):
     assert rc == 0
     entries = sorted(cache_dir.glob("*.json"))
     assert len(entries) == 2  # one per pivot
+    stored = {path: json.loads(path.read_text(encoding="utf-8")) for path in entries}
     for path in entries:
         path.write_text(json.dumps(entry), encoding="utf-8")
 
@@ -92,4 +99,28 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path, monkeypatch, entry):
     assert strip_timings(again) == strip_timings(fresh)
     # the corrupt entries were recomputed and overwritten
     for path in entries:
-        assert json.loads(path.read_text(encoding="utf-8"))["coeffs"][0] == "1"
+        assert json.loads(path.read_text(encoding="utf-8")) == stored[path]
+
+
+def test_entry_under_another_engine_digest_is_not_served(tmp_path, monkeypatch):
+    cache_dir = tmp_path / "cache"
+    monkeypatch.setenv("POWG_CACHE_DIR", str(cache_dir))
+    rc, fresh = _verify_23(tmp_path, "fresh.json")
+    assert rc == 0
+    digest = report._engine_digest()
+    entries = sorted(cache_dir.glob("*.json"))
+    assert len(entries) == 2 and all(digest in p.name for p in entries)
+    # move every entry to another digest, with stats no real run produces
+    for path in entries:
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        entry["stats"] = {"memo_entries": 7, "subproblems": 7}
+        path.with_name(path.name.replace(digest, "0" * 64)).write_text(
+            json.dumps(entry), encoding="utf-8")
+        path.unlink()
+
+    rc, again = _verify_23(tmp_path, "again.json")
+    assert rc == 0
+    assert strip_timings(again) == strip_timings(fresh)
+    assert all(run["memo_entries"] != 7
+               for run in again["cases"][0]["engine_stats"]["runs"])
+    assert sorted(cache_dir.glob(f"*{digest}*")) == entries
