@@ -155,9 +155,9 @@ def _cmd_invariant(args) -> int:
     elif args.which == "wiener":
         print(wiener_index(graph))
     elif args.which == "matching-poly":
-        print(matching_polynomial(graph, memo_limit=DEFAULT_MEMO_LIMIT).render())
+        print(matching_polynomial(graph).render())
     else:  # hosoya-index
-        print(matching_polynomial(graph, memo_limit=DEFAULT_MEMO_LIMIT).hosoya_index)
+        print(matching_polynomial(graph).hosoya_index)
     return EXIT_OK
 
 

@@ -20,12 +20,13 @@ a note; values are never rounded or silently repaired.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .distance import RationalExponentPolynomial
 from .groups import FamilyParams
-from .matching import _k_n_row
+from .matching import _convolve, _k_n_row
 
 MODES = ("printed", "corrected")
 
@@ -35,20 +36,6 @@ FAMILY_TAGS = tuple(f"M{j}" for j in range(1, 16))
 def _check_mode(mode: str) -> None:
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r} (expected 'printed' or 'corrected')")
-
-
-def _binom(n: int, k: int) -> int:
-    if k < 0 or n < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
-def _table_count(n: int, j: int, mode: str) -> int:
-    """Matchings of order j >= 1 in K_n per the tabled closed form; zero
-    once the order exceeds what n vertices can host (zero-extension)."""
-    if j < 1:
-        raise ValueError("table factor requires order >= 1; order 0 is handled by callers")
-    return _k_n_row(n, mode)[j] if 2 * j <= n else 0
 
 
 @dataclass(frozen=True)
@@ -136,6 +123,8 @@ def _family_ranges(params: FamilyParams) -> dict[str, range]:
         "M4": range(1, quarter + 1),
         "M5": range(2, half + 2),
         "M6": range(2, 3 * quarter + 1),
+        # the statement lists the order-2 term separately, then 3..quarter-1
+        "M7": range(2, quarter),
         "M8": range(2, half + 1),
         "M9": range(2, 3),
         "M10": range(2, quarter + 2),
@@ -147,14 +136,69 @@ def _family_ranges(params: FamilyParams) -> dict[str, range]:
     }
 
 
+def _family_counts(params: FamilyParams, mode: str) -> dict[str, Callable[[int], int]]:
+    """The count expression M_family^i of every family, exactly as displayed.
+
+    T(m) is the tabled K_m row and B(l) the row of C(l, j); both have index 0
+    set to 0, so each nested sum over j of T(m, j) C(l, i - j) with j >= 1 and
+    i - j >= 1 is coefficient i of their convolution, taken once per case.
+    Indexing past the end of a row reads 0: K_m hosts at most m // 2 edges.
+    """
+    n, half, quarter = params.n_r, params.half, params.quarter
+    t_n, t_n1, t_n2 = ([0, *_k_n_row(m, mode)[1:]] for m in (n, n - 1, n - 2))
+
+    def conv(t_row: list[int], top: int, stop: int) -> list[int]:
+        return _convolve(t_row, [0] + [math.comb(top, j) for j in range(1, stop)])
+
+    def at(row: list[int], i: int) -> int:
+        return row[i] if i < len(row) else 0
+
+    m6 = conv(t_n, quarter, quarter + 1)
+    m11_n = conv(t_n1, quarter - 1, quarter)
+    m11_p = conv(t_n2, quarter - 1, quarter)
+    m11_q = conv(t_n2, quarter - 2, quarter - 1)
+    m12 = conv(t_n1, quarter, quarter + 1)
+    # printed as C(2^k p - 1, m) but cut off beyond quarter - 1
+    m15 = conv(t_n2, n - 1, quarter)
+    pairs = half * (half - 1) // 2
+    return {
+        "M1": lambda i: t_n[i],
+        "M2": lambda i: half,
+        "M3": lambda i: n if i == 1 else half * (half - 1),
+        "M4": lambda i: math.comb(quarter, i),
+        # the second summand's 1/(i-2) factor is undefined at i = 2, where
+        # T(n-2)[0] = 0 makes it contribute 0 (the term carries a note)
+        "M5": lambda i: n * at(t_n1, i - 1) + pairs * t_n2[i - 2],
+        "M6": lambda i: m6[i],
+        "M7": lambda i: n * (quarter - 1) if i == 2 else (
+            n * math.comb(quarter - 1, i - 1) + 2 * quarter * math.comb(quarter - 1, i - 2)
+            + half * (half - 2) * math.comb(quarter - 2, i - 2)),
+        "M8": lambda i: half * t_n1[i - 1],
+        "M9": lambda i: half * half,
+        "M10": lambda i: half * math.comb(quarter, i - 1),
+        # the top order 3q is printed with the last summand alone; the middle
+        # one is half T(n-2, half-1) there, not zero, so the omission changes
+        # the count and is reproduced as displayed
+        "M11": lambda i: (n * at(m11_n, i - 1)
+                          + (half * m11_p[i - 2] if i < 3 * quarter else 0)
+                          + half * (half - 1) * at(m11_q, i - 2)),
+        "M12": lambda i: half * m12[i - 1],
+        "M13": lambda i: half * half * math.comb(quarter - 1, i - 2),
+        "M14": lambda i: half * n * t_n2[i - 2],
+        "M15": lambda i: half * n * m15[i - 2],
+    }
+
+
+def _term(family: str, i: int, count: int) -> MatchingFamilyTerm:
+    note = None
+    if (family, i) == ("M5", 2):
+        note = "second summand undefined as displayed at order 2 (1/(i-2) factor); contributed 0"
+    return MatchingFamilyTerm(family, i, count, note)
+
+
 def family_orders(family: str, k: int, p: int) -> list[int]:
     """The orders the assembly sums for one family, per the stated ranges."""
-    params = FamilyParams(k, p)
-    quarter = params.quarter
-    if family == "M7":
-        # the statement lists the order-2 term separately, then 3..quarter-1
-        return [2] + list(range(3, quarter))
-    r = _family_ranges(params).get(family)
+    r = _family_ranges(FamilyParams(k, p)).get(family)
     if r is None:
         raise ValueError(f"unknown matching family {family!r}")
     return list(r)
@@ -171,113 +215,7 @@ def eval_matching_family(family: str, i: int, k: int, p: int,
     params = FamilyParams(k, p)
     if i not in family_orders(family, k, p):
         raise ValueError(f"order {i} outside the stated range of {family} at (k={k}, p={p})")
-
-    n = params.n_r
-    half, quarter = params.half, params.quarter
-    note = None
-
-    if family == "M1":
-        count = _table_count(n, i, mode)
-
-    elif family == "M2":
-        count = half
-
-    elif family == "M3":
-        count = n if i == 1 else half * (half - 1)
-
-    elif family == "M4":
-        count = _binom(quarter, i)
-
-    elif family == "M5":
-        if i <= half:
-            count = n * _table_count(n - 1, i - 1, mode)
-            if i == 2:
-                note = ("second summand undefined as displayed at order 2 "
-                        "(1/(i-2) factor); contributed 0")
-            else:
-                count += half * (half - 1) // 2 * _table_count(n - 2, i - 2, mode)
-        else:  # boundary order half + 1
-            count = half * (half - 1) // 2 * _table_count(n - 2, half - 1, mode)
-
-    elif family == "M6":
-        count = sum(
-            _table_count(n, j, mode) * _binom(quarter, i - j)
-            for j in range(1, i)
-        )
-
-    elif family == "M7":
-        if i == 2:
-            count = n * (quarter - 1)
-        else:
-            count = (n * _binom(quarter - 1, i - 1)
-                     + 2 * quarter * _binom(quarter - 1, i - 2)
-                     + half * (half - 2) * _binom(quarter - 2, i - 2))
-
-    elif family == "M8":
-        count = half * _table_count(n - 1, i - 1, mode)
-
-    elif family == "M9":
-        count = half * half
-
-    elif family == "M10":
-        count = half * _binom(quarter, i - 1)
-
-    elif family == "M11":
-        def n_case(order: int) -> int:
-            return sum(
-                n * _table_count(n - 1, j, mode) * _binom(quarter - 1, order - j - 1)
-                for j in range(1, order - 1)
-            )
-
-        def p_case(order: int) -> int:
-            return sum(
-                half * _table_count(n - 2, j, mode) * _binom(quarter - 1, order - j - 2)
-                for j in range(1, order - 2)
-            )
-
-        def q_case(order: int) -> int:
-            return sum(
-                half * (half - 1) * _table_count(n - 2, j, mode)
-                * _binom(quarter - 2, order - j - 2)
-                for j in range(1, order - 2)
-            )
-
-        top = 3 * quarter
-        if i == 3:
-            count = n_case(3)
-        elif i == top:
-            count = q_case(top)
-        else:
-            count = n_case(i) + p_case(i) + q_case(i)
-
-    elif family == "M12":
-        count = sum(
-            half * _table_count(n - 1, j, mode) * _binom(quarter, i - j - 1)
-            for j in range(1, i - 1)
-        )
-
-    elif family == "M13":
-        count = half * half * _binom(quarter - 1, i - 2)
-
-    elif family == "M14":
-        count = half * n * _table_count(n - 2, i - 2, mode)
-
-    elif family == "M15":
-        def u_factor(m_ord: int) -> int:
-            # printed as C(2^k p - 1, m) but cut off beyond quarter - 1
-            if m_ord > quarter - 1:
-                return 0
-            return _binom(n - 1, m_ord)
-
-        count = sum(
-            half * n * _table_count(n - 2, j, mode) * u_factor(i - j - 2)
-            for j in range(1, i - 2)
-        )
-
-    else:
-        raise ValueError(f"unknown matching family {family!r}")
-
-    return MatchingFamilyTerm(family, i, count, note)
+    return _term(family, i, _family_counts(params, mode)[family](i))
 
 
 def paper_hosoya_index(k: int, p: int, mode: str = "printed"
@@ -286,10 +224,9 @@ def paper_hosoya_index(k: int, p: int, mode: str = "printed"
     family term over the stated ranges.  Returns the total and the full
     per-term breakdown."""
     _check_mode(mode)
-    FamilyParams(k, p)
-    terms: list[MatchingFamilyTerm] = []
-    for family in FAMILY_TAGS:
-        for i in family_orders(family, k, p):
-            terms.append(eval_matching_family(family, i, k, p, mode))
+    params = FamilyParams(k, p)
+    ranges, counts = _family_ranges(params), _family_counts(params, mode)
+    terms = [_term(family, i, counts[family](i))
+             for family in FAMILY_TAGS for i in ranges[family]]
     total = 1 + sum(t.count for t in terms)
     return total, terms

@@ -79,21 +79,13 @@ class Graph:
 
 def build_power_graph(g: FiniteGroup) -> Graph:
     """Power graph of g: x ~ y (x != y) iff x in <y> or y in <x>."""
-    n = g.order
-    subs = []
-    for x in range(n):
-        mask = 0
+    adj = [0] * g.order
+    for x in range(g.order):
         for t in cyclic_subgroup(g, x):
-            mask |= 1 << t
-        subs.append(mask)
-    adj = [0] * n
-    for x in range(n):
-        sx = subs[x]
-        for y in range(x + 1, n):
-            if (sx >> y & 1) or (subs[y] >> x & 1):
-                adj[x] |= 1 << y
-                adj[y] |= 1 << x
-    return Graph(n, tuple(adj), g.labels)
+            if t != x:
+                adj[x] |= 1 << t
+                adj[t] |= 1 << x
+    return Graph(g.order, tuple(adj), g.labels)
 
 
 def induced_subgraph(graph: Graph, vertices) -> Graph:

@@ -138,19 +138,24 @@ def _cached_int(value) -> int:
 
 def _oracle_index(graph, pivots, memo_limit, cache, case_tag):
     """Matching polynomial of the graph for every pivot strategy, with a
-    cross-check that all runs agree.  Cached per (case, pivot, engine digest)."""
+    cross-check that all runs agree.  The first run is always fresh and never
+    touches the cache, so the cache alone never decides a result.  A later
+    run is served from its entry (keyed by case, pivot and engine digest)
+    only when the entry passes _cached_run and equals the fresh polynomial;
+    anything else is a miss, recomputed and overwritten."""
     runs = []
     polys = []
     for pivot in pivots:
         key = (case_tag, "matching-poly", pivot, _engine_digest())
-        hit = _cached_run(cache.get(key), graph) if cache is not None else None
-        if hit is not None:
+        cached = cache is not None and len(polys) > 0
+        hit = _cached_run(cache.get(key), graph) if cached else None
+        if hit is not None and hit[0] == polys[0]:
             coeffs, stats = hit
         else:
             engine = MatchingEngine(graph, pivot=pivot, memo_limit=memo_limit)
             coeffs = list(engine.run().coeffs)
             stats = engine.stats
-            if cache is not None:
+            if cached:
                 cache.put(key, {"coeffs": [str(c) for c in coeffs], "stats": stats})
         polys.append(coeffs)
         runs.append({"pivot": pivot, **{k: v for k, v in stats.items() if k != "pivot"}})
@@ -202,7 +207,7 @@ def _diff_rows(oracle, paper_by_mode, part):
     for mode in ("printed", "corrected"):
         o_terms = oracle["rs_hosoya_terms"]
         p_terms = paper_by_mode[mode]["rs_hosoya_terms"]
-        for exp in sorted(set(o_terms) | set(p_terms), key=_exp_sort_key, reverse=True):
+        for exp in sorted(set(o_terms) | set(p_terms), key=Fraction, reverse=True):
             ov, pv = o_terms.get(exp, 0), p_terms.get(exp, 0)
             if ov != pv:
                 add("rs_hosoya", f"x^{exp}", ov, pv, mode)
@@ -233,10 +238,6 @@ def _diff_rows(oracle, paper_by_mode, part):
 
     diffs.sort(key=lambda d: (d["invariant"], d["location"], d["mode"]))
     return diffs
-
-
-def _exp_sort_key(exp_str: str) -> Fraction:
-    return Fraction(exp_str)
 
 
 def compare(k: int, p: int, *, include_index: bool = True,

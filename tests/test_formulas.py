@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -175,3 +176,22 @@ def test_invalid_params_raise():
         paper_hosoya_index(2, 4)
     with pytest.raises(ValueError):
         paper_rs_hosoya(2, 3, "fixed")
+
+
+# sha256 over one "k p mode family order count note" line per term of
+# paper_hosoya_index, for every valid (k, p) of order <= 512 in both modes;
+# recorded from the term-at-a-time evaluators before the rows replaced them
+ASSEMBLY_SHA256 = "b2e80030005e676eca62ad324a81a69b8556caf26e5e77c4f7266d6532e874b3"
+
+
+def test_assembly_pinned_up_to_order_512():
+    digest = hashlib.sha256()
+    cases = [(k, p) for k in range(2, 8) for p in range(3, 64, 2)
+             if all(p % d for d in range(3, p, 2)) and (2 << k) * p <= 512]
+    assert len(cases) == 36
+    for k, p in cases:
+        for mode in ("printed", "corrected"):
+            for t in paper_hosoya_index(k, p, mode)[1]:
+                line = f"{k} {p} {mode} {t.family} {t.order} {t.count} {t.note}\n"
+                digest.update(line.encode("utf-8"))
+    assert digest.hexdigest() == ASSEMBLY_SHA256

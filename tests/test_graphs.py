@@ -57,6 +57,27 @@ def test_power_graph_family_2_3():
     assert graph.edge_count == 77
 
 
+def _powers(g, x):
+    """<x> by repeated multiplication, independent of cyclic_subgroup."""
+    out, y = {0}, x
+    while y != 0:
+        out.add(y)
+        y = g.mult(y, x)
+    return out
+
+
+def test_power_graph_matches_definition():
+    groups = [build_cyclic(n) for n in range(1, 31)]
+    groups += [build_family(FamilyParams(k, p)) for k, p in [(2, 3), (2, 5), (3, 3)]]
+    for g in groups:
+        graph = build_power_graph(g)
+        subs = [_powers(g, x) for x in range(g.order)]
+        for x in range(g.order):
+            for y in range(g.order):
+                adjacent = x != y and (y in subs[x] or x in subs[y])
+                assert graph.has_edge(x, y) == adjacent, (g.order, x, y)
+
+
 def test_power_graph_symmetric_loop_free():
     for g in (build_power_graph(build_cyclic(12)), family_graph(2, 3)[0]):
         g.validate_symmetric()

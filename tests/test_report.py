@@ -88,7 +88,7 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path, monkeypatch, entry):
     rc, fresh = _verify_23(tmp_path, "fresh.json")
     assert rc == 0
     entries = sorted(cache_dir.glob("*.json"))
-    assert len(entries) == 2  # one per pivot
+    assert len(entries) == 1  # the first pivot's run is always fresh, never cached
     stored = {path: json.loads(path.read_text(encoding="utf-8")) for path in entries}
     for path in entries:
         path.write_text(json.dumps(entry), encoding="utf-8")
@@ -109,7 +109,7 @@ def test_entry_under_another_engine_digest_is_not_served(tmp_path, monkeypatch):
     assert rc == 0
     digest = report._engine_digest()
     entries = sorted(cache_dir.glob("*.json"))
-    assert len(entries) == 2 and all(digest in p.name for p in entries)
+    assert len(entries) == 1 and all(digest in p.name for p in entries)
     # move every entry to another digest, with stats no real run produces
     for path in entries:
         entry = json.loads(path.read_text(encoding="utf-8"))
@@ -124,3 +124,43 @@ def test_entry_under_another_engine_digest_is_not_served(tmp_path, monkeypatch):
     assert all(run["memo_entries"] != 7
                for run in again["cases"][0]["engine_stats"]["runs"])
     assert sorted(cache_dir.glob(f"*{digest}*")) == entries
+
+
+def _bump_m3(path):
+    entry = json.loads(path.read_text(encoding="utf-8"))
+    entry["coeffs"][3] = str(int(entry["coeffs"][3]) + 1)
+    path.write_text(json.dumps(entry), encoding="utf-8")
+
+
+def test_cached_run_that_disagrees_with_the_fresh_run_is_recomputed(tmp_path, monkeypatch):
+    # m_3 + 1 passes every identity _cached_run checks (m_0, m_1, m_2, length)
+    cache_dir = tmp_path / "cache"
+    monkeypatch.setenv("POWG_CACHE_DIR", str(cache_dir))
+    rc, fresh = _verify_23(tmp_path, "fresh.json")
+    assert rc == 0
+    path = sorted(cache_dir.glob("*.json"))[0]
+    stored = json.loads(path.read_text(encoding="utf-8"))
+    _bump_m3(path)
+
+    rc, again = _verify_23(tmp_path, "again.json")
+    assert rc == 0
+    assert strip_timings(again) == strip_timings(fresh)
+    assert json.loads(path.read_text(encoding="utf-8")) == stored
+
+
+def test_cache_alone_never_decides_the_index(tmp_path, monkeypatch):
+    cache_dir = tmp_path / "cache"
+    monkeypatch.setenv("POWG_CACHE_DIR", str(cache_dir))
+    rc, fresh = _verify_23(tmp_path, "fresh.json")
+    assert rc == 0
+    entries = sorted(cache_dir.glob("*.json"))
+    stored = {path: json.loads(path.read_text(encoding="utf-8")) for path in entries}
+    for path in entries:
+        _bump_m3(path)
+
+    rc, again = _verify_23(tmp_path, "again.json")
+    assert rc == 0
+    assert again["cases"][0]["oracle"]["hosoya_index"] == 2911488
+    assert strip_timings(again) == strip_timings(fresh)
+    for path in entries:
+        assert json.loads(path.read_text(encoding="utf-8")) == stored[path]
