@@ -42,6 +42,7 @@ from .matching import (
     MatchingEngine,
     MatchingLimitError,
     MatchingPolynomial,
+    TwinEngine,
     brute_force_matchings,
     complete_graph_matchings,
     hosoya_index,

@@ -118,6 +118,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _emit(text: str, path: str | None) -> None:
+    """Write text to the file at path, or to stdout when no path is given."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _cmd_group(args) -> int:
     g = _resolve_group(args)
     print(f"order: {g.order}")
@@ -135,11 +146,7 @@ def _cmd_group(args) -> int:
 
 def _cmd_graph(args) -> int:
     graph = build_power_graph(_resolve_group(args))
-    text = export(graph, args.format)
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit(export(graph, args.format), args.output)
     return EXIT_OK
 
 
@@ -197,11 +204,7 @@ def _cmd_verify(args) -> int:
                        skip_index_above=args.skip_index_above,
                        use_cache=not args.no_cache,
                        memo_limit=DEFAULT_MEMO_LIMIT)
-    text = render_report(doc)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit(render_report(doc), args.out)
     return EXIT_OK
 
 

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import re
+import sys
 import tempfile
 import time
 from fractions import Fraction
@@ -38,10 +39,10 @@ from .formulas import (
 )
 from .graphs import build_power_graph, classify_edges, verify_structure_theorem
 from .groups import FamilyParams, build_family, partition
-from .matching import DEFAULT_MEMO_LIMIT, MatchingEngine
+from .matching import DEFAULT_MEMO_LIMIT, MatchingEngine, TwinEngine
 
 JSON_SAFE_INT = 1 << 53
-DEFAULT_PIVOTS = ("max-degree", "min-degree")
+CROSS_CHECK_PIVOT = "min-degree"
 DEFAULT_SKIP_INDEX_ABOVE = 24
 
 
@@ -79,16 +80,22 @@ class ResultCache:
             return None
 
     def put(self, parts, obj) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        # a unique temp name per writer, so concurrent runs never share one
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        """Store obj under parts.  The result is already computed, so a cache
+        that cannot be written costs one warning line on stderr, not the run."""
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(obj, sort_keys=True))
-            os.replace(tmp, self._path(parts))
-        except BaseException:
-            os.unlink(tmp)
-            raise
+            self.root.mkdir(parents=True, exist_ok=True)
+            # a unique temp name per writer, so concurrent runs never share one
+            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                    fh.write(json.dumps(obj, sort_keys=True))
+                os.replace(tmp, self._path(parts))
+            except BaseException:
+                os.unlink(tmp)
+                raise
+        except OSError as exc:
+            print(f"powg: warning: cannot write cache entry in {self.root}: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
 
 
 def jsonable(value):
@@ -136,35 +143,36 @@ def _cached_int(value) -> int:
     raise ValueError(f"not an integer: {value!r}")
 
 
-def _oracle_index(graph, pivots, memo_limit, cache, case_tag):
-    """Matching polynomial of the graph for every pivot strategy, with a
-    cross-check that all runs agree.  The first run is always fresh and never
-    touches the cache, so the cache alone never decides a result.  A later
-    run is served from its entry (keyed by case, pivot and engine digest)
-    only when the entry passes _cached_run and equals the fresh polynomial;
-    anything else is a miss, recomputed and overwritten."""
-    runs = []
-    polys = []
-    for pivot in pivots:
-        key = (case_tag, "matching-poly", pivot, _engine_digest())
-        cached = cache is not None and len(polys) > 0
-        hit = _cached_run(cache.get(key), graph) if cached else None
-        if hit is not None and hit[0] == polys[0]:
-            coeffs, stats = hit
-        else:
-            engine = MatchingEngine(graph, pivot=pivot, memo_limit=memo_limit)
-            coeffs = list(engine.run().coeffs)
-            stats = engine.stats
-            if cached:
-                cache.put(key, {"coeffs": [str(c) for c in coeffs], "stats": stats})
-        polys.append(coeffs)
-        runs.append({"pivot": pivot, **{k: v for k, v in stats.items() if k != "pivot"}})
-    identical = all(c == polys[0] for c in polys)
+def _oracle_index(graph, memo_limit, cache, case_tag):
+    """Matching polynomial of the graph from two structurally different
+    engines, with a cross-check that they agree.  The twin-class run is the
+    primary oracle; it is always fresh and never touches the cache, so the
+    cache alone never decides a result.  The bitmask run is its cross-check:
+    served from its entry (keyed by case, pivot and engine digest) only when
+    the entry passes _cached_run and equals the twin polynomial; anything
+    else is a miss, recomputed and overwritten."""
+    twin = TwinEngine(graph, memo_limit=memo_limit)
+    coeffs = list(twin.run().coeffs)
+    runs = [{"engine": "twin", **twin.stats}]
+
+    key = (case_tag, "matching-poly", CROSS_CHECK_PIVOT, _engine_digest())
+    hit = _cached_run(cache.get(key), graph) if cache is not None else None
+    if hit is not None and hit[0] == coeffs:
+        check, stats = hit
+    else:
+        engine = MatchingEngine(graph, pivot=CROSS_CHECK_PIVOT, memo_limit=memo_limit)
+        check = list(engine.run().coeffs)
+        stats = engine.stats
+        if cache is not None:
+            cache.put(key, {"coeffs": [str(c) for c in check], "stats": stats})
+    runs.append({"engine": "bitmask", **stats, "pivot": CROSS_CHECK_PIVOT})
+    identical = check == coeffs
     if not identical:
         raise RuntimeError(
-            f"matching engine self-check failed: pivot strategies disagree on {case_tag}"
+            f"matching engine cross-check failed: twin and bitmask engines "
+            f"disagree on {case_tag}"
         )
-    return polys[0], runs, identical
+    return coeffs, runs, identical
 
 
 def _degree_block(graph, part):
@@ -241,7 +249,7 @@ def _diff_rows(oracle, paper_by_mode, part):
 
 
 def compare(k: int, p: int, *, include_index: bool = True,
-            pivots=DEFAULT_PIVOTS, memo_limit: int = DEFAULT_MEMO_LIMIT,
+            memo_limit: int = DEFAULT_MEMO_LIMIT,
             cache: ResultCache | None = None) -> dict:
     """Oracle-vs-closed-form comparison for one (k, p) case.
 
@@ -272,8 +280,7 @@ def compare(k: int, p: int, *, include_index: bool = True,
     t0 = time.perf_counter()
     engine_stats = {"runs": [], "skipped": not include_index}
     if include_index:
-        coeffs, runs, identical = _oracle_index(graph, pivots, memo_limit,
-                                                cache, case_tag)
+        coeffs, runs, identical = _oracle_index(graph, memo_limit, cache, case_tag)
         engine_stats = {"runs": runs, "skipped": False,
                         "cross_check_identical": identical}
         index_val = sum(coeffs)
@@ -344,7 +351,6 @@ def compare(k: int, p: int, *, include_index: bool = True,
 
 def verify_cases(ks, ps, *, skip_index_above: int = DEFAULT_SKIP_INDEX_ABOVE,
                  use_cache: bool = True, cache_dir=None,
-                 pivots=DEFAULT_PIVOTS,
                  memo_limit: int = DEFAULT_MEMO_LIMIT) -> dict:
     """Run the comparison for every (k, p) in the cartesian product and
     assemble the verification document."""
@@ -356,8 +362,7 @@ def verify_cases(ks, ps, *, skip_index_above: int = DEFAULT_SKIP_INDEX_ABOVE,
             params = FamilyParams(k, p)
             include_index = params.order <= skip_index_above
             cases.append(compare(k, p, include_index=include_index,
-                                 pivots=pivots, memo_limit=memo_limit,
-                                 cache=cache))
+                                 memo_limit=memo_limit, cache=cache))
     return {
         "tool": "powg",
         "version": __version__,

@@ -175,3 +175,14 @@ def test_main_returns_codes_in_process(tmp_path):
 def test_bigint_serialization():
     assert jsonable({"z": 2**60, "small": 7}) == {"z": str(2**60), "small": 7}
     assert jsonable([True, 2**54]) == [True, str(2**54)]
+
+
+def test_unwritable_output_is_invalid_input(tmp_path, capsys):
+    missing = tmp_path / "missing" / "out.txt"
+    for argv in (["verify", "--k", "2", "--p", "3", "--skip-index-above", "0",
+                  "--no-cache", "--out", str(missing)],
+                 ["graph", "--cyclic", "4", "--format", "edges", "-o", str(missing)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"powg: invalid input: cannot write {missing}: No such file or directory\n"
+    assert not missing.parent.exists()

@@ -1,21 +1,33 @@
+import hashlib
 import math
 import random
+import sys
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from powg import (
+    FamilyParams,
     Graph,
     MatchingEngine,
     MatchingLimitError,
+    TwinEngine,
     brute_force_matchings,
     build_cyclic,
+    build_family,
     build_power_graph,
     complete_graph_matchings,
+    cyclic_subgroup,
     hosoya_index,
     matching_polynomial,
     telephone_number,
 )
 from conftest import complete_graph, random_graph
+
+# sha256 of `powg invariant matching-poly --cyclic N` for N = 1..30, each
+# rendering followed by a newline, as printed by the bitmask engine
+# (max-degree pivot) before the twin engine existed
+PINNED_CYCLIC_SHA256 = "30a4a6aec55ede780259e621a9e8acfd9a3171e721a9a3cef38deab2555f0042"
 
 
 def test_small_graphs():
@@ -171,17 +183,19 @@ def test_pivot_strategies_agree():
     rng = random.Random(21)
     for _ in range(15):
         g = random_graph(rng, rng.randint(2, 11), 0.5)
-        results = {matching_polynomial(g, pivot=piv).coeffs
+        results = {MatchingEngine(g, pivot=piv).run().coeffs
                    for piv in ("max-degree", "min-degree")}
-        assert len(results) == 1
+        assert results == {brute_force_matchings(g).coeffs}
     with pytest.raises(ValueError):
-        matching_polynomial(complete_graph(3), pivot="random")
+        MatchingEngine(complete_graph(3), pivot="random")
 
 
 def test_memo_limit_is_graceful():
     g = complete_graph(12)
     with pytest.raises(MatchingLimitError):
         matching_polynomial(g, memo_limit=4)
+    with pytest.raises(MatchingLimitError):
+        MatchingEngine(g, memo_limit=4).run()
 
 
 def test_engine_stats():
@@ -196,3 +210,88 @@ def test_engine_stats():
 def test_render():
     assert matching_polynomial(complete_graph(4)).render() == \
         "m_0=1, m_1=6, m_2=3\nZ=10"
+
+
+@st.composite
+def clique_blow_ups(draw):
+    """A random base graph with each vertex replaced by a clique of 1..4
+    vertices (adjacent classes joined completely), relabelled at random,
+    plus up to three noise edges that break some of the twin classes."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=8)
+                 .filter(lambda s: sum(s) <= 16))
+    pairs = [(i, j) for i in range(len(sizes)) for j in range(i + 1, len(sizes))]
+    joined = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    n = sum(sizes)
+    perm = draw(st.permutations(range(n)))
+    members, start = [], 0
+    for size in sizes:
+        members.append(perm[start:start + size])
+        start += size
+    edges = {(u, v) for vs in members for u in vs for v in vs if u < v}
+    edges |= {(min(u, v), max(u, v))
+              for i, j in joined for u in members[i] for v in members[j]}
+    noise = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3))
+    edges |= {(min(u, v), max(u, v)) for u, v in noise if u != v}
+    g = Graph.from_edges(n, sorted(edges))
+    # keeps brute force (time proportional to the matching count) fast
+    assume(math.prod(g.degree(v) + 1 for v in range(n)) <= 10 ** 12)
+    return g
+
+
+@settings(max_examples=400, deadline=None)
+@given(clique_blow_ups())
+def test_twin_engine_matches_brute_force_on_clique_blow_ups(g):
+    assert TwinEngine(g).run() == brute_force_matchings(g)
+
+
+def test_twin_engine_matches_bitmask_engine_on_power_graphs():
+    for k, p in [(2, 3), (2, 5)]:
+        g = build_power_graph(build_family(FamilyParams(k, p)))
+        assert TwinEngine(g).run() == MatchingEngine(g, pivot="min-degree").run()
+    rendered = []
+    for n in range(1, 31):
+        g = build_power_graph(build_cyclic(n))
+        poly = TwinEngine(g).run()
+        # the bitmask engine takes over a second per graph above Z_20, so the
+        # larger ones are checked against its recorded output
+        if n <= 20:
+            assert poly == MatchingEngine(g, pivot="min-degree").run()
+        rendered.append(poly.render() + "\n")
+    digest = hashlib.sha256("".join(rendered).encode("utf-8")).hexdigest()
+    assert digest == PINNED_CYCLIC_SHA256
+
+
+def test_twin_engine_on_complete_graphs():
+    for n in range(61):
+        engine = TwinEngine(complete_graph(n))
+        assert engine.run().hosoya_index == telephone_number(n)
+        assert engine.stats["classes"] == min(n, 1)
+        assert engine.stats["memo_entries"] <= n
+
+
+def test_twin_engine_stats():
+    group = build_family(FamilyParams(2, 3))
+    engine = TwinEngine(build_power_graph(group))
+    assert engine.run().hosoya_index == 2911488
+    stats = engine.stats
+    assert stats["pivot"] == "max-degree"
+    # here every class is the generator set of one cyclic subgroup
+    assert stats["classes"] == len({frozenset(cyclic_subgroup(group, x))
+                                    for x in group.elements()}) == 15
+    assert 0 < stats["memo_entries"] == stats["subproblems"]
+
+
+def test_twin_engine_leaves_the_recursion_limit_alone():
+    limit = sys.getrecursionlimit()
+    g = build_power_graph(build_family(FamilyParams(2, 5)))
+    TwinEngine(g).run()
+    assert sys.getrecursionlimit() == limit
+    # one frame per removed vertex: a clique larger than the limit is a
+    # resource limit, not a RecursionError
+    n = limit + 10
+    full = (1 << n) - 1
+    deep = Graph(n, tuple(full ^ 1 << v for v in range(n)), tuple(map(str, range(n))))
+    with pytest.raises(MatchingLimitError, match="recursion depth"):
+        TwinEngine(deep).run()
+    assert sys.getrecursionlimit() == limit

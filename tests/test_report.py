@@ -9,15 +9,25 @@ from powg import report
 from powg.cli import main
 from powg.report import ResultCache, render_report, strip_timings, verify_cases
 
-# sha256 of the timing-stripped report below, recorded before the distance
-# and closed-form layers were rebuilt on layer-size profiles and cached rows
-PINNED_REPORT_SHA256 = "4154bb97a6f3309dd81308a4325fe111fbe022f50bea68ed9e4d8bf796b05bec"
+# sha256 of the timing-stripped report below, recorded when the twin-class
+# engine became the primary oracle and changed engine_stats
+PINNED_REPORT_SHA256 = "635269b2cb7cd1d2b715800467273cb487b143b3ccaccbc98db9eb467de55a6b"
+# the same report without engine_stats, recorded before that change: every
+# oracle value, paper value and diff row is unchanged
+PINNED_NO_ENGINE_STATS_SHA256 = \
+    "bbe5301ebd236be9ecc3339740c72752061c84bcbd5e2387e418121648048b16"
 
 
 def test_pinned_report_digest():
-    doc = verify_cases([2, 3, 4], [3, 5], skip_index_above=24, use_cache=False)
-    text = render_report(strip_timings(doc))
+    doc = strip_timings(verify_cases([2, 3, 4], [3, 5], skip_index_above=24,
+                                     use_cache=False))
+    text = render_report(doc)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED_REPORT_SHA256
+    for case in doc["cases"]:
+        del case["engine_stats"]
+    text = render_report(doc)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+        PINNED_NO_ENGINE_STATS_SHA256
 
 
 def test_cache_put_leaves_one_entry_and_no_temp_files(tmp_path):
@@ -88,7 +98,7 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path, monkeypatch, entry):
     rc, fresh = _verify_23(tmp_path, "fresh.json")
     assert rc == 0
     entries = sorted(cache_dir.glob("*.json"))
-    assert len(entries) == 1  # the first pivot's run is always fresh, never cached
+    assert len(entries) == 1  # the twin run is always fresh, never cached
     stored = {path: json.loads(path.read_text(encoding="utf-8")) for path in entries}
     for path in entries:
         path.write_text(json.dumps(entry), encoding="utf-8")
@@ -164,3 +174,31 @@ def test_cache_alone_never_decides_the_index(tmp_path, monkeypatch):
     assert strip_timings(again) == strip_timings(fresh)
     for path in entries:
         assert json.loads(path.read_text(encoding="utf-8")) == stored[path]
+
+
+def test_unusable_cache_directory_is_a_warning(tmp_path, monkeypatch, capsys):
+    not_a_dir = tmp_path / "cache"
+    not_a_dir.write_text("a regular file", encoding="utf-8")
+    monkeypatch.setenv("POWG_CACHE_DIR", str(not_a_dir))
+    rc, cached = _verify_23(tmp_path, "cached.json")
+    assert rc == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("powg: warning: ")
+    assert main(["verify", "--k", "2", "--p", "3", "--no-cache",
+                 "--out", str(tmp_path / "fresh.json")]) == 0
+    fresh = json.loads((tmp_path / "fresh.json").read_text(encoding="utf-8"))
+    assert strip_timings(cached) == strip_timings(fresh)
+    assert not_a_dir.read_text(encoding="utf-8") == "a regular file"
+
+
+def test_engines_that_disagree_stop_the_run(monkeypatch):
+    real_run = report.TwinEngine.run
+
+    def off_by_one(self):
+        coeffs = list(real_run(self).coeffs)
+        coeffs[3] += 1
+        return report.matching.MatchingPolynomial(tuple(coeffs))
+
+    monkeypatch.setattr(report.TwinEngine, "run", off_by_one)
+    with pytest.raises(RuntimeError, match="twin and bitmask engines disagree"):
+        report.compare(2, 3, cache=None)
