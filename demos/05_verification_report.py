@@ -17,7 +17,7 @@ print(f"oracle: {frag['oracle']['edge_count']} edges, "
       f"Z = {frag['oracle']['hosoya_index']}")
 print(f"published totals: printed {frag['paper']['printed']['hosoya_index']['total']}, "
       f"corrected {frag['paper']['corrected']['hosoya_index']['total']}")
-print(f"twin and bitmask engines agree: "
+print(f"decomposition and twin engines agree: "
       f"{frag['engine_stats']['cross_check_identical']}")
 
 print(f"\n{len(frag['diffs'])} diff rows; grouped by invariant:")

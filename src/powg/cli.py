@@ -113,7 +113,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--p", required=True, metavar="P1[,P2...]")
     sp.add_argument("--out", metavar="FILE")
     sp.add_argument("--skip-index-above", type=int, default=DEFAULT_SKIP_INDEX_ABOVE,
-                    metavar="N", help="skip the matching engine above this graph order")
+                    metavar="N",
+                    help="skip the Hosoya index (both matching engines) above this "
+                         "graph order (default %(default)s)")
     sp.add_argument("--no-cache", action="store_true")
     return parser
 

@@ -1,13 +1,16 @@
 """Exact matching enumeration.
 
-matching_polynomial counts i-edge matchings for every i with TwinEngine: a
-pivot recursion over closed-twin classes (vertices with equal closed
-neighbourhoods), memoized on the per-class count vector, with component
-factorization at the class level.  MatchingEngine is its structurally
-different cross-check: a vertex-pivot deletion recursion memoized on the
-vertex-subset bitmask.  brute_force_matchings is the independent oracle for
-small graphs: plain include/exclude recursion over the edge list with a
-vertex-use mask and no memoization.  All counts are exact Python integers.
+matching_polynomial counts i-edge matchings for every i with MatchingEngine,
+a decomposition recursion memoized on vertex-subset bitmasks: components
+are factored, a subgraph whose complement is disconnected is the complete
+join of its parts, and any other subgraph pivots on a vertex of maximum
+degree, with neighbours of equal closed neighbourhood taken once.  TwinEngine
+is its structurally different cross-check: a pivot recursion over
+closed-twin classes (vertices with equal closed neighbourhoods), memoized on
+the per-class count vector, with component factorization at the class level
+and no join rule.  brute_force_matchings is the independent oracle for small
+graphs: plain include/exclude recursion over the edge list with a vertex-use
+mask and no memoization.  All counts are exact Python integers.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from .graphs import Graph
 
 DEFAULT_MEMO_LIMIT = 1 << 26
 BRUTE_FORCE_MAX_VERTICES = 16
-PIVOT_STRATEGIES = ("max-degree", "min-degree")
 
 
 class MatchingLimitError(RuntimeError):
@@ -56,7 +58,8 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
 
 def _components(adj, mask: int) -> list[int]:
     """Connected components, as bitmasks, of the subgraph that the rows
-    adj (one neighbour bitmask per vertex) induce on the vertices in mask."""
+    adj (one neighbour bitmask per vertex; complement rows ~adj[v] give the
+    complement's components) induce on the vertices in mask."""
     comps = []
     rest = mask
     while rest:
@@ -77,89 +80,120 @@ def _components(adj, mask: int) -> list[int]:
     return comps
 
 
-class MatchingEngine:
-    """One matching-polynomial computation; the memo lives for a single run."""
+def _join(a: list[int], na: int, b: list[int], nb: int) -> list[int]:
+    """Matching polynomial of the complete join of a graph with polynomial a
+    on na vertices and one with polynomial b on nb vertices.  A matching with
+    i edges inside the first, j inside the second and t across pairs t of
+    the f1 = na - 2i free vertices on one side with t of the f2 = nb - 2j on
+    the other, in C(f1, t) C(f2, t) t! ways; that weight is kept as a running
+    product over t, and every division in it is exact."""
+    out = [0] * ((na + nb) // 2 + 1)
+    for i, ai in enumerate(a):
+        f1 = na - 2 * i
+        for j, bj in enumerate(b):
+            f2 = nb - 2 * j
+            w = ai * bj
+            for t in range(min(f1, f2) + 1):
+                out[i + j + t] += w
+                w = w * (f1 - t) * (f2 - t) // (t + 1)
+    while out[-1] == 0:
+        out.pop()
+    return out
 
-    def __init__(self, graph: Graph, pivot: str = "max-degree",
-                 memo_limit: int = DEFAULT_MEMO_LIMIT):
-        if pivot not in PIVOT_STRATEGIES:
-            raise ValueError(f"unknown pivot strategy {pivot!r}")
+
+class MatchingEngine:
+    """One matching-polynomial computation by decomposition on vertex masks.
+
+    Every connected subgraph of two or more vertices is memoized on its
+    vertex mask and solved by the first rule that holds on it:
+    - join: its complement is disconnected, so it is the complete join of
+      the complement's components; single complement vertices are universal
+      and together form one K_r, read from the closed-form row;
+    - pivot: a vertex v of maximum degree is unmatched, or matched to a
+      neighbour u.  Neighbours with equal closed neighbourhoods are twins, so
+      removing v and either one leaves isomorphic graphs: each such group is
+      one subproblem weighted by its size.
+    Both rules are checked on the live subgraph, so the engine is exact on
+    any graph.  The memo lives for a single run.
+    """
+
+    def __init__(self, graph: Graph, memo_limit: int = DEFAULT_MEMO_LIMIT):
         self.graph = graph
-        self.pivot = pivot
         self.memo_limit = memo_limit
         self.memo: dict[int, list[int]] = {}
         self.calls = 0
+        # complement rows: ~adj[v] & mask is mask minus v's neighbours
+        self.co_adj = tuple(~row for row in graph.adj)
 
     def run(self) -> MatchingPolynomial:
-        import sys
-
-        old = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old, 6 * self.graph.n + 200))
         try:
-            full = (1 << self.graph.n) - 1
-            coeffs = self._poly(full)
-        finally:
-            sys.setrecursionlimit(old)
+            coeffs = self._poly((1 << self.graph.n) - 1)
+        except RecursionError:  # a few frames per pivot level
+            raise MatchingLimitError(
+                f"recursion depth exceeded at {self.graph.n} vertices") from None
         return MatchingPolynomial(tuple(coeffs))
 
     @property
-    def stats(self) -> dict[str, int | str]:
-        return {"memo_entries": len(self.memo), "subproblems": self.calls,
-                "pivot": self.pivot}
-
-    def _pick_pivot(self, cmask: int) -> int:
-        adj = self.graph.adj
-        best_v = -1
-        best_d = -1 if self.pivot == "max-degree" else 1 << 62
-        m = cmask
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            d = (adj[v] & cmask).bit_count()
-            if self.pivot == "max-degree":
-                if d > best_d:
-                    best_v, best_d = v, d
-            else:
-                if d < best_d:
-                    best_v, best_d = v, d
-            m ^= low
-        return best_v
+    def stats(self) -> dict[str, int]:
+        return {"memo_entries": len(self.memo), "subproblems": self.calls}
 
     def _poly(self, mask: int) -> list[int]:
-        if mask == 0:
-            return [1]
         result = [1]
         for comp in _components(self.graph.adj, mask):
-            result = _convolve(result, self._component_poly(comp))
+            if comp & (comp - 1):
+                result = _convolve(result, self._connected_poly(comp))
         return result
 
-    def _component_poly(self, cmask: int) -> list[int]:
-        if cmask & (cmask - 1) == 0:
-            return [1]
-        cached = self.memo.get(cmask)
-        if cached is not None:
-            return cached
+    def _connected_poly(self, cmask: int) -> list[int]:
+        total = self.memo.get(cmask)
+        if total is not None:
+            return total
         self.calls += 1
-
-        v = self._pick_pivot(cmask)
-        vbit = 1 << v
-        # matchings avoiding v, then matchings using an edge v-u
-        total = self._poly(cmask ^ vbit)
-        nbrs = self.graph.adj[v] & cmask
-        while nbrs:
-            low = nbrs & -nbrs
-            sub = self._poly(cmask ^ vbit ^ low)
-            if len(total) < len(sub) + 1:
-                total = total + [0] * (len(sub) + 1 - len(total))
-            for i, c in enumerate(sub):
-                total[i + 1] += c
-            nbrs ^= low
-
+        parts = _components(self.co_adj, cmask)
+        if len(parts) > 1:
+            size = sum(1 for part in parts if part & (part - 1) == 0)
+            total = list(_k_n_row(size, "corrected"))
+            for part in parts:
+                if part & (part - 1):
+                    n = part.bit_count()
+                    total = _join(total, size, self._poly(part), n)
+                    size += n
+        else:
+            total = self._pivot_poly(cmask)
         if len(self.memo) >= self.memo_limit:
             raise MatchingLimitError(
                 f"memo entry cap {self.memo_limit} exceeded at {self.graph.n} vertices"
             )
         self.memo[cmask] = total
+        return total
+
+    def _pivot_poly(self, cmask: int) -> list[int]:
+        adj = self.graph.adj
+        v, best = -1, -1
+        m = cmask
+        while m:
+            low = m & -m
+            d = (adj[low.bit_length() - 1] & cmask).bit_count()
+            if d > best:
+                v, best = low.bit_length() - 1, d
+            m ^= low
+        rest = cmask ^ 1 << v
+        # v stays unmatched, or is matched to one neighbour of each group
+        # of closed twins, weighted by the group's size
+        total = self._poly(rest)
+        groups: dict[int, list[int]] = {}
+        nbrs = adj[v] & cmask
+        while nbrs:
+            low = nbrs & -nbrs
+            group = groups.setdefault((adj[low.bit_length() - 1] | low) & cmask, [low, 0])
+            group[1] += 1
+            nbrs ^= low
+        for low, weight in groups.values():
+            sub = self._poly(rest ^ low)
+            if len(total) < len(sub) + 1:
+                total = total + [0] * (len(sub) + 1 - len(total))
+            for i, c in enumerate(sub):
+                total[i + 1] += weight * c
         return total
 
 
@@ -269,8 +303,8 @@ class TwinEngine:
 
 def matching_polynomial(graph: Graph,
                         memo_limit: int = DEFAULT_MEMO_LIMIT) -> MatchingPolynomial:
-    """Exact matching polynomial of the graph, by the twin-class engine."""
-    return TwinEngine(graph, memo_limit=memo_limit).run()
+    """Exact matching polynomial of the graph, by the decomposition engine."""
+    return MatchingEngine(graph, memo_limit=memo_limit).run()
 
 
 def hosoya_index(graph: Graph, memo_limit: int = DEFAULT_MEMO_LIMIT) -> int:

@@ -42,8 +42,9 @@ from .groups import FamilyParams, build_family, partition
 from .matching import DEFAULT_MEMO_LIMIT, MatchingEngine, TwinEngine
 
 JSON_SAFE_INT = 1 << 53
-CROSS_CHECK_PIVOT = "min-degree"
-DEFAULT_SKIP_INDEX_ABOVE = 24
+DEFAULT_SKIP_INDEX_ABOVE = 56
+# the twin run's statistics, as reported and as stored with its cache entry
+CACHED_STATS = ("memo_entries", "subproblems", "classes")
 
 
 def default_cache_dir() -> Path:
@@ -65,6 +66,7 @@ class ResultCache:
 
     def __init__(self, root: Path | str | None = None):
         self.root = Path(root) if root is not None else default_cache_dir()
+        self.warned = False
 
     def _path(self, parts) -> Path:
         name = "-".join(re.sub(r"[^A-Za-z0-9._]+", "_", str(p)) for p in parts)
@@ -81,7 +83,8 @@ class ResultCache:
 
     def put(self, parts, obj) -> None:
         """Store obj under parts.  The result is already computed, so a cache
-        that cannot be written costs one warning line on stderr, not the run."""
+        that cannot be written costs one warning line on stderr, once per
+        cache, not the run."""
         try:
             self.root.mkdir(parents=True, exist_ok=True)
             # a unique temp name per writer, so concurrent runs never share one
@@ -94,8 +97,13 @@ class ResultCache:
                 os.unlink(tmp)
                 raise
         except OSError as exc:
-            print(f"powg: warning: cannot write cache entry in {self.root}: "
-                  f"{exc.strerror or exc}", file=sys.stderr)
+            if not self.warned:
+                self.warned = True
+                # mkdir(exist_ok=True) raises FileExistsError only for a non-directory
+                reason = ("not a directory" if isinstance(exc, FileExistsError)
+                          else exc.strerror or exc)
+                print(f"powg: warning: cannot write cache entry in {self.root}: "
+                      f"{reason}", file=sys.stderr)
 
 
 def jsonable(value):
@@ -125,7 +133,7 @@ def _cached_run(entry, graph):
     at most n // 2 + 1 coefficients."""
     try:
         coeffs = [_cached_int(c) for c in entry["coeffs"]]
-        stats = {k: _cached_int(entry["stats"][k]) for k in ("memo_entries", "subproblems")}
+        stats = {k: _cached_int(entry["stats"][k]) for k in CACHED_STATS}
     except (TypeError, KeyError, ValueError):
         return None
     edges = graph.edge_count
@@ -145,31 +153,31 @@ def _cached_int(value) -> int:
 
 def _oracle_index(graph, memo_limit, cache, case_tag):
     """Matching polynomial of the graph from two structurally different
-    engines, with a cross-check that they agree.  The twin-class run is the
-    primary oracle; it is always fresh and never touches the cache, so the
-    cache alone never decides a result.  The bitmask run is its cross-check:
-    served from its entry (keyed by case, pivot and engine digest) only when
-    the entry passes _cached_run and equals the twin polynomial; anything
-    else is a miss, recomputed and overwritten."""
-    twin = TwinEngine(graph, memo_limit=memo_limit)
-    coeffs = list(twin.run().coeffs)
-    runs = [{"engine": "twin", **twin.stats}]
+    engines, with a cross-check that they agree.  The decomposition run is
+    the primary oracle; it is always fresh and never touches the cache, so
+    the cache alone never decides a result.  The twin-class run is its
+    cross-check: served from its entry (keyed by case and engine digest)
+    only when the entry passes _cached_run and equals the primary
+    polynomial; anything else is a miss, recomputed and overwritten."""
+    engine = MatchingEngine(graph, memo_limit=memo_limit)
+    coeffs = list(engine.run().coeffs)
+    runs = [{"engine": "decomposition", **engine.stats}]
 
-    key = (case_tag, "matching-poly", CROSS_CHECK_PIVOT, _engine_digest())
+    key = (case_tag, "matching-poly", "twin", _engine_digest())
     hit = _cached_run(cache.get(key), graph) if cache is not None else None
     if hit is not None and hit[0] == coeffs:
         check, stats = hit
     else:
-        engine = MatchingEngine(graph, pivot=CROSS_CHECK_PIVOT, memo_limit=memo_limit)
-        check = list(engine.run().coeffs)
-        stats = engine.stats
+        twin = TwinEngine(graph, memo_limit=memo_limit)
+        check = list(twin.run().coeffs)
+        stats = {k: twin.stats[k] for k in CACHED_STATS}
         if cache is not None:
             cache.put(key, {"coeffs": [str(c) for c in check], "stats": stats})
-    runs.append({"engine": "bitmask", **stats, "pivot": CROSS_CHECK_PIVOT})
+    runs.append({"engine": "twin", **stats})
     identical = check == coeffs
     if not identical:
         raise RuntimeError(
-            f"matching engine cross-check failed: twin and bitmask engines "
+            f"matching engine cross-check failed: decomposition and twin engines "
             f"disagree on {case_tag}"
         )
     return coeffs, runs, identical

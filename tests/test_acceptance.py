@@ -188,8 +188,8 @@ def test_criterion_7_full_verification(tmp_path, monkeypatch):
         stats = case["engine_stats"]
         assert stats["skipped"] is False
         assert stats["cross_check_identical"] is True
-        pivots = {r["pivot"] for r in stats["runs"]}
-        assert len(pivots) == 2
+        engines = {r["engine"] for r in stats["runs"]}
+        assert len(engines) == 2
         oracle_z = case["oracle"]["hosoya_index"]
         assert oracle_z == sum(case["oracle"]["matching_polynomial"])
         for mode in ("printed", "corrected"):

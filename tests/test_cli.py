@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from powg import telephone_number
 from powg.cli import main
 from powg.report import jsonable, strip_timings
 
@@ -52,6 +53,13 @@ def test_invariant_hosoya_index():
 def test_invariant_matching_poly():
     res = run_cli(["invariant", "matching-poly", "--cyclic", "4"])
     assert res.stdout.splitlines() == ["m_0=1, m_1=6, m_2=3", "Z=10"]
+
+
+def test_hosoya_index_of_a_complete_power_graph_of_order_1024():
+    # P(Z_1024) is K_1024: one join of universal vertices, no deep recursion
+    res = run_cli(["invariant", "hosoya-index", "--cyclic", "1024"])
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == f"{telephone_number(1024)}\n"
 
 
 def test_invariant_wiener_and_rs():

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import math
 import random
 import sys
@@ -179,32 +180,22 @@ def test_printed_and_corrected_agree_up_to_order_two():
                     complete_graph_matchings(n, i, "corrected")
 
 
-def test_pivot_strategies_agree():
-    rng = random.Random(21)
-    for _ in range(15):
-        g = random_graph(rng, rng.randint(2, 11), 0.5)
-        results = {MatchingEngine(g, pivot=piv).run().coeffs
-                   for piv in ("max-degree", "min-degree")}
-        assert results == {brute_force_matchings(g).coeffs}
-    with pytest.raises(ValueError):
-        MatchingEngine(complete_graph(3), pivot="random")
-
-
 def test_memo_limit_is_graceful():
-    g = complete_graph(12)
+    # a 12-cycle: every pivot leaves paths, one memo entry per path and cycle
+    g = Graph.from_edges(12, [(i, (i + 1) % 12) for i in range(12)])
+    assert MatchingEngine(g).run().hosoya_index == 322  # Lucas number L_12
     with pytest.raises(MatchingLimitError):
         matching_polynomial(g, memo_limit=4)
     with pytest.raises(MatchingLimitError):
-        MatchingEngine(g, memo_limit=4).run()
+        TwinEngine(g, memo_limit=4).run()
 
 
 def test_engine_stats():
     eng = MatchingEngine(complete_graph(6))
     poly = eng.run()
     assert poly.hosoya_index == telephone_number(6)
-    stats = eng.stats
-    assert stats["memo_entries"] > 0
-    assert stats["pivot"] == "max-degree"
+    # K_6 is one join of six universal vertices, read from the K_n row
+    assert eng.stats == {"memo_entries": 1, "subproblems": 1}
 
 
 def test_render():
@@ -212,24 +203,51 @@ def test_render():
         "m_0=1, m_1=6, m_2=3\nZ=10"
 
 
-@st.composite
-def clique_blow_ups(draw):
-    """A random base graph with each vertex replaced by a clique of 1..4
-    vertices (adjacent classes joined completely), relabelled at random,
-    plus up to three noise edges that break some of the twin classes."""
-    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=8)
-                 .filter(lambda s: sum(s) <= 16))
+def _cliques(*ranges):
+    return {(u, v) for vs in ranges for u in vs for v in vs if u < v}
+
+
+def _blow_up(draw, max_classes, max_vertices):
+    """Order and edges of a random base graph with each vertex replaced by a
+    clique of 1..4 vertices, adjacent classes joined completely."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=max_classes)
+                 .filter(lambda s: sum(s) <= max_vertices))
     pairs = [(i, j) for i in range(len(sizes)) for j in range(i + 1, len(sizes))]
     joined = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
-    n = sum(sizes)
-    perm = draw(st.permutations(range(n)))
     members, start = [], 0
     for size in sizes:
-        members.append(perm[start:start + size])
+        members.append(range(start, start + size))
         start += size
-    edges = {(u, v) for vs in members for u in vs for v in vs if u < v}
-    edges |= {(min(u, v), max(u, v))
-              for i, j in joined for u in members[i] for v in members[j]}
+    edges = _cliques(*members)
+    edges |= {(u, v) for i, j in joined for u in members[i] for v in members[j]}
+    return start, edges
+
+
+@st.composite
+def clique_blow_ups(draw):
+    """A random graph of one of three shapes, relabelled at random, plus up
+    to three noise edges that break some of its twin classes and joins:
+    - a clique blow-up;
+    - the complete join of two clique blow-ups;
+    - two cliques X and Y whose cross neighbourhoods N(y) & X form a chain
+      under inclusion (a Ferrers board)."""
+    shape = draw(st.sampled_from(("blow-up", "join", "chain")))
+    if shape == "blow-up":
+        n, edges = _blow_up(draw, 8, 16)
+    elif shape == "join":
+        n1, edges = _blow_up(draw, 3, 6)
+        n2, right = _blow_up(draw, 3, 6)
+        n = n1 + n2
+        edges |= {(u + n1, v + n1) for u, v in right}
+        edges |= {(u, v) for u in range(n1) for v in range(n1, n)}
+    else:
+        x, y = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        reach = sorted(draw(st.lists(st.integers(0, x), min_size=y, max_size=y)))
+        n = x + y
+        edges = _cliques(range(x), range(x, n))
+        edges |= {(u, x + j) for j, r in enumerate(reach) for u in range(r)}
+    perm = draw(st.permutations(range(n)))
+    edges = {(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in edges}
     noise = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                           max_size=3))
     edges |= {(min(u, v), max(u, v)) for u, v in noise if u != v}
@@ -245,18 +263,22 @@ def test_twin_engine_matches_brute_force_on_clique_blow_ups(g):
     assert TwinEngine(g).run() == brute_force_matchings(g)
 
 
-def test_twin_engine_matches_bitmask_engine_on_power_graphs():
-    for k, p in [(2, 3), (2, 5)]:
+@settings(max_examples=400, deadline=None)
+@given(clique_blow_ups())
+def test_matching_engine_matches_brute_force_on_clique_blow_ups(g):
+    assert MatchingEngine(g).run() == brute_force_matchings(g)
+
+
+def test_engines_agree_on_power_graphs():
+    # every family case of order <= 80; the twin engine takes about 2 s at 80
+    for k, p in [(2, 3), (2, 5), (2, 7), (3, 3), (3, 5)]:
         g = build_power_graph(build_family(FamilyParams(k, p)))
-        assert TwinEngine(g).run() == MatchingEngine(g, pivot="min-degree").run()
+        assert MatchingEngine(g).run() == TwinEngine(g).run()
     rendered = []
     for n in range(1, 31):
         g = build_power_graph(build_cyclic(n))
-        poly = TwinEngine(g).run()
-        # the bitmask engine takes over a second per graph above Z_20, so the
-        # larger ones are checked against its recorded output
-        if n <= 20:
-            assert poly == MatchingEngine(g, pivot="min-degree").run()
+        poly = MatchingEngine(g).run()
+        assert poly == TwinEngine(g).run()
         rendered.append(poly.render() + "\n")
     digest = hashlib.sha256("".join(rendered).encode("utf-8")).hexdigest()
     assert digest == PINNED_CYCLIC_SHA256
@@ -295,3 +317,24 @@ def test_twin_engine_leaves_the_recursion_limit_alone():
     with pytest.raises(MatchingLimitError, match="recursion depth"):
         TwinEngine(deep).run()
     assert sys.getrecursionlimit() == limit
+
+
+def test_matching_engine_maps_deep_recursion_to_the_limit_error():
+    limit = sys.getrecursionlimit()
+    g = build_power_graph(build_family(FamilyParams(2, 5)))
+    MatchingEngine(g).run()
+    assert sys.getrecursionlimit() == limit
+    # a path takes a few frames per pivot, one pivot per removed vertex;
+    # its matchings are counted by the Fibonacci numbers
+    n = 120
+    path = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    fib = [1, 1]
+    while len(fib) <= n:
+        fib.append(fib[-1] + fib[-2])
+    assert MatchingEngine(path).run().hosoya_index == fib[n]
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        with pytest.raises(MatchingLimitError, match="recursion depth"):
+            MatchingEngine(path).run()
+    finally:
+        sys.setrecursionlimit(limit)

@@ -9,9 +9,10 @@ from powg import report
 from powg.cli import main
 from powg.report import ResultCache, render_report, strip_timings, verify_cases
 
-# sha256 of the timing-stripped report below, recorded when the twin-class
-# engine became the primary oracle and changed engine_stats
-PINNED_REPORT_SHA256 = "635269b2cb7cd1d2b715800467273cb487b143b3ccaccbc98db9eb467de55a6b"
+# sha256 of the timing-stripped report below, recorded when the decomposition
+# engine became the primary oracle, with the twin-class engine as its
+# cross-check, and changed engine_stats
+PINNED_REPORT_SHA256 = "05116e9e7ca1ef20db5c14726c7ede5fefe2fbc59a30d8d14398292cf0854111"
 # the same report without engine_stats, recorded before that change: every
 # oracle value, paper value and diff row is unchanged
 PINNED_NO_ENGINE_STATS_SHA256 = \
@@ -98,7 +99,7 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path, monkeypatch, entry):
     rc, fresh = _verify_23(tmp_path, "fresh.json")
     assert rc == 0
     entries = sorted(cache_dir.glob("*.json"))
-    assert len(entries) == 1  # the twin run is always fresh, never cached
+    assert len(entries) == 1  # the decomposition run is always fresh, never cached
     stored = {path: json.loads(path.read_text(encoding="utf-8")) for path in entries}
     for path in entries:
         path.write_text(json.dumps(entry), encoding="utf-8")
@@ -180,12 +181,14 @@ def test_unusable_cache_directory_is_a_warning(tmp_path, monkeypatch, capsys):
     not_a_dir = tmp_path / "cache"
     not_a_dir.write_text("a regular file", encoding="utf-8")
     monkeypatch.setenv("POWG_CACHE_DIR", str(not_a_dir))
-    rc, cached = _verify_23(tmp_path, "cached.json")
-    assert rc == 0
+    two_cases = ["verify", "--k", "2", "--p", "3,5"]
+    assert main([*two_cases, "--out", str(tmp_path / "cached.json")]) == 0
+    cached = json.loads((tmp_path / "cached.json").read_text(encoding="utf-8"))
+    # one warning for the run, not one per case
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("powg: warning: ")
-    assert main(["verify", "--k", "2", "--p", "3", "--no-cache",
-                 "--out", str(tmp_path / "fresh.json")]) == 0
+    assert err == [f"powg: warning: cannot write cache entry in {not_a_dir}: "
+                   f"not a directory"]
+    assert main([*two_cases, "--no-cache", "--out", str(tmp_path / "fresh.json")]) == 0
     fresh = json.loads((tmp_path / "fresh.json").read_text(encoding="utf-8"))
     assert strip_timings(cached) == strip_timings(fresh)
     assert not_a_dir.read_text(encoding="utf-8") == "a regular file"
@@ -200,5 +203,5 @@ def test_engines_that_disagree_stop_the_run(monkeypatch):
         return report.matching.MatchingPolynomial(tuple(coeffs))
 
     monkeypatch.setattr(report.TwinEngine, "run", off_by_one)
-    with pytest.raises(RuntimeError, match="twin and bitmask engines disagree"):
+    with pytest.raises(RuntimeError, match="decomposition and twin engines disagree"):
         report.compare(2, 3, cache=None)
