@@ -1,6 +1,8 @@
 """Exact distance-based invariants: distance distribution, reciprocal status
-and their generating polynomials, all derived from one DistanceProfile (per
-vertex, one bitmask BFS recording only layer sizes).  bfs_distances and
+and their generating polynomials, all derived from one DistanceProfile of
+per-vertex layer sizes.  When vertex 0 is universal, as the identity of a
+power graph is, the diameter is at most 2 and the layers follow from the
+degrees; otherwise each vertex gets one bitmask BFS.  bfs_distances and
 all_pairs_distances build full tables by queue BFS: the independent oracle.
 
 Convention: the distance-0 count equals the number of vertices (self pairs
@@ -102,13 +104,27 @@ class DistanceProfile:
             raise ValueError("graph is disconnected: reciprocal status is undefined")
         scale = math.lcm(*range(1, max(map(len, self.layers), default=1)))
         rs = [sum(c * (scale // d) for d, c in enumerate(sizes) if d) for sizes in self.layers]
-        terms = Counter(rs[u] + rs[v] for u, v in self.graph.edges())
-        return RationalExponentPolynomial({Fraction(e, scale): c for e, c in terms.items()})
+        groups: dict[int, int] = {}  # rs value -> mask of the vertices that have it
+        for v, value in enumerate(rs):
+            groups[value] = groups.get(value, 0) | 1 << v
+        terms: Counter = Counter()  # every edge is seen from both ends
+        for row, value in zip(self.graph.adj, rs):
+            for other, mask in groups.items():
+                terms[value + other] += (row & mask).bit_count()
+        return RationalExponentPolynomial({Fraction(e, scale): c // 2 for e, c in terms.items() if c})
 
 
 def distance_profile(graph: Graph) -> DistanceProfile:
-    """One layer-size BFS per vertex."""
-    return DistanceProfile(graph, tuple(_layer_sizes(graph, v) for v in range(graph.n)))
+    """Layer sizes of every vertex.  When vertex 0 is universal, as the
+    identity of a power graph is, every other vertex lies within distance 2,
+    so v has layers (1, deg v, n - 1 - deg v) without trailing zeros.
+    Otherwise one layer-size BFS per vertex."""
+    n = graph.n
+    if n and graph.adj[0] == (1 << n) - 2:
+        return DistanceProfile(graph, tuple(
+            (1, d, n - 1 - d) if d < n - 1 else (1, d) if d else (1,)
+            for d in map(int.bit_count, graph.adj)))
+    return DistanceProfile(graph, tuple(_layer_sizes(graph, v) for v in range(n)))
 
 
 def hosoya_polynomial(graph: Graph) -> DistanceDistribution:

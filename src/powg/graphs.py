@@ -3,10 +3,16 @@
 The power graph of a finite group joins distinct x, y whenever one lies in
 the cyclic subgroup generated by the other; the identity is therefore
 adjacent to every other vertex.
+
+The family's edge classification and structure check count edges by vertex
+masks, one popcount per vertex, and never walk the edge list.  The prefix
+<r> is checked against P(Z_N) as defined on element orders: x ~ y iff
+o(x) | o(y) or o(y) | o(x), one row mask per divisor.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .groups import FiniteGroup, GroupPartition, cyclic_subgroup
@@ -136,27 +142,73 @@ def degree_histogram(graph: Graph) -> dict[int, int]:
     return dict(sorted(hist.items()))
 
 
+def _mask(vertices) -> int:
+    return sum(1 << v for v in set(vertices))
+
+
+def _rule(n: int, blocks) -> list[int]:
+    """Edge rule: rule[x] masks the vertices that x may be joined to, so the
+    rule selects the edges between s and t for each (s, t) in blocks."""
+    rule = [0] * n
+    for s, t in blocks:
+        for a, b in ((s, t), (t, s)):
+            while a:
+                low = a & -a
+                rule[low.bit_length() - 1] |= b
+                a ^= low
+    return rule
+
+
+def _count(graph: Graph, rule: list[int]) -> int:
+    """Edges that rule selects: one popcount per vertex, at the lower end."""
+    return sum(((a & r) >> x >> 1).bit_count()
+               for x, (a, r) in enumerate(zip(graph.adj, rule)) if r)
+
+
 @dataclass(frozen=True)
 class EdgeClassification:
     """Edge classification of a family power graph.
 
-    pattern_edges maps each pattern tag (E1, E4..E13; E2 and E3 folded into
-    E10 and E6) to every edge matching that membership pattern; patterns
-    overlap by design (E4, E5, E7, E8, E9, E12, E13 are sub-patterns of E1).
-
-    kind_edges is the disjoint partition into the seven named kinds
-    (eu, eh1, eh2, eh3, uh3, vw, yz) plus "unclassified" for edges, such as
-    u-h1, that none of the seven kinds covers.
+    blocks maps each pattern tag (E1, E4..E13; E2 and E3 folded into E10
+    and E6) and each of the seven kinds (eu, eh1, eh2, eh3, uh3, vw, yz) to
+    the (s, t) vertex-mask pairs of its rule; counts holds the edge counts.
+    Patterns overlap by design (E4, E5, E7, E8, E9, E12, E13 are
+    sub-patterns of E1).  The kinds are disjoint, and "unclassified" counts
+    the edges, such as u-h1, that none of them covers.  pattern_edges and
+    kind_edges list the edges on demand.
     """
 
-    pattern_edges: dict[str, tuple[tuple[int, int], ...]]
-    kind_edges: dict[str, tuple[tuple[int, int], ...]]
+    graph: Graph
+    blocks: dict[str, list[tuple[int, int]]]
+    counts: dict[str, int]
 
     def pattern_counts(self) -> dict[str, int]:
-        return {tag: len(v) for tag, v in self.pattern_edges.items()}
+        return {tag: self.counts[tag] for tag in EDGE_PATTERN_TAGS}
 
     def kind_counts(self) -> dict[str, int]:
-        return {kind: len(v) for kind, v in self.kind_edges.items()}
+        return {kind: self.counts[kind] for kind in (*EDGE_KINDS, "unclassified")}
+
+    @property
+    def pattern_edges(self) -> dict[str, tuple[tuple[int, int], ...]]:
+        return {tag: self._listed([tag]) for tag in EDGE_PATTERN_TAGS}
+
+    @property
+    def kind_edges(self) -> dict[str, tuple[tuple[int, int], ...]]:
+        edges = {kind: self._listed([kind]) for kind in EDGE_KINDS}
+        edges["unclassified"] = self._listed(EDGE_KINDS, keep=False)
+        return edges
+
+    def _listed(self, names, keep: bool = True) -> tuple[tuple[int, int], ...]:
+        """Edges that the named rules select (keep=False: that none selects),
+        in edges() order."""
+        rule = _rule(self.graph.n, [st for name in names for st in self.blocks[name]])
+        return tuple((x, y) for x, y in self.graph.edges() if bool(rule[x] >> y & 1) == keep)
+
+
+def _check_order(graph: Graph, part: GroupPartition) -> None:
+    order = 2 * part.n_r
+    if graph.n != order:
+        raise ValueError(f"partition is for order {order}, graph has {graph.n} vertices")
 
 
 def classify_edges(graph: Graph, part: GroupPartition) -> EdgeClassification:
@@ -164,73 +216,35 @@ def classify_edges(graph: Graph, part: GroupPartition) -> EdgeClassification:
 
     Raises ValueError when the partition does not match the graph.
     """
-    order = 2 * part.n_r
-    if graph.n != order:
-        raise ValueError(f"partition is for order {order}, graph has {graph.n} vertices")
-
-    u = part.u
-    pair_of: dict[int, int] = {}
-    for y, z in part.partner_pairs:
-        pair_of[y] = z
-        pair_of[z] = y
-
-    a1, a2, a3 = part.a1, part.a2, part.a3
-    a4, a5, a6 = part.a4, part.a5, part.a6
-    omega = part.omega
-
-    patterns: dict[str, list] = {tag: [] for tag in EDGE_PATTERN_TAGS}
-    kinds: dict[str, list] = {kind: [] for kind in EDGE_KINDS}
-    kinds["unclassified"] = []
-
-    for x, y in graph.edges():
-        if x in a1 and y in a1:
-            patterns["E1"].append((x, y))
-        if x in a3 and y in a3:
-            patterns["E4"].append((x, y))
-        if (x == 0 and y in a3) or (y == 0 and x in a3):
-            patterns["E5"].append((x, y))
-        if (x == 0 and y in a2) or (y == 0 and x in a2):
-            patterns["E6"].append((x, y))
-        if x in a5 and y in a5:
-            patterns["E7"].append((x, y))
-        if x in omega and y in omega:
-            patterns["E8"].append((x, y))
-        if (x in a5 and y in omega) or (y in a5 and x in omega):
-            patterns["E9"].append((x, y))
-        if (x in a6 and y in omega) or (y in a6 and x in omega):
-            patterns["E10"].append((x, y))
-        if pair_of.get(x) == y:
-            patterns["E11"].append((x, y))
-        if x in a4 and y in a4:
-            patterns["E12"].append((x, y))
+    _check_order(graph, part)
+    e, u = 1, 1 << part.u
+    a1, a2, a3, a4, a5, a6, omega, h1, h2, h3 = (_mask(getattr(part, name)) for name in (
+        "a1", "a2", "a3", "a4", "a5", "a6", "omega", "h1", "h2", "h3"))
+    pairs = [(1 << y, 1 << z) for y, z in part.partner_pairs]
+    blocks = {
+        "E1": [(a1, a1)], "E4": [(a3, a3)], "E5": [(e, a3)], "E6": [(e, a2)],
+        "E7": [(a5, a5)], "E8": [(omega, omega)], "E9": [(a5, omega)],
+        "E10": [(a6, omega)], "E11": pairs, "E12": [(a4, a4)],
         # E13 as printed requires both endpoints in A4 and one equal to u,
         # but u is excluded from A4: the pattern is unsatisfiable.
-        if x in a4 and y in a4 and u in (x, y):
-            patterns["E13"].append((x, y))
+        "E13": [(a4 & u, a4)],
+        "eu": [(e, u)], "eh1": [(e, h1)], "eh2": [(e, h2)], "eh3": [(e, h3)],
+        "uh3": [(u, h3)], "vw": [(h1, h1)], "yz": pairs,
+    }
+    counts = {name: _count(graph, _rule(graph.n, b)) for name, b in blocks.items()}
+    counts["unclassified"] = graph.edge_count - sum(counts[kind] for kind in EDGE_KINDS)
+    return EdgeClassification(graph, blocks, counts)
 
-        # disjoint kind assignment
-        sx, sy = sorted((x, y))
-        if (sx, sy) == (0, u):
-            kinds["eu"].append((x, y))
-        elif sx == 0 and sy in part.h1:
-            kinds["eh1"].append((x, y))
-        elif sx == 0 and sy in part.h2:
-            kinds["eh2"].append((x, y))
-        elif sx == 0 and sy in part.h3:
-            kinds["eh3"].append((x, y))
-        elif sx == u and sy in part.h3:
-            kinds["uh3"].append((x, y))
-        elif sx in part.h1 and sy in part.h1:
-            kinds["vw"].append((x, y))
-        elif pair_of.get(sx) == sy:
-            kinds["yz"].append((x, y))
-        else:
-            kinds["unclassified"].append((x, y))
 
-    return EdgeClassification(
-        pattern_edges={tag: tuple(v) for tag, v in patterns.items()},
-        kind_edges={kind: tuple(v) for kind, v in kinds.items()},
-    )
+def _order_divisibility_rows(n: int) -> tuple[int, ...]:
+    """Adjacency rows of P(Z_n) from element orders o(i) = n / gcd(i, n);
+    no group table is built."""
+    order = [n // math.gcd(i, n) for i in range(n)]
+    of_order: dict[int, int] = {}
+    for i, d in enumerate(order):
+        of_order[d] = of_order.get(d, 0) | 1 << i
+    row = {d: sum(m for c, m in of_order.items() if d % c == 0 or c % d == 0) for d in of_order}
+    return tuple(row[d] & ~(1 << i) for i, d in enumerate(order))
 
 
 @dataclass(frozen=True)
@@ -259,53 +273,31 @@ class StructureReport:
 
 
 def verify_structure_theorem(graph: Graph, part: GroupPartition) -> StructureReport:
-    """Verify the edge-level structure decomposition; failures are report
-    content, never exceptions."""
-    from .groups import build_cyclic  # local import avoids cycle at module load
-
+    """Verify the edge-level structure decomposition.  Failures are report
+    content, never exceptions; a partition for another order raises
+    ValueError.  The prefix <r> is checked against the definition of P(Z_N)
+    on element orders, not against a second group table."""
+    _check_order(graph, part)
     n_r = part.n_r
-    u = part.u
-    all_edges = set(graph.edges())
-
-    in_r = {e for e in all_edges if e[0] < n_r and e[1] < n_r}
-    pendants = set()
-    for h2 in sorted(part.h2):
-        e = (0, h2)
-        if e in all_edges:
-            pendants.add(e)
-    pair_edges = set()
-    for y, z in part.partner_pairs:
-        lo, hi = min(y, z), max(y, z)
-        for e in ((0, y), (0, z), (u, y), (u, z), (lo, hi)):
-            if e in all_edges:
-                pair_edges.add(e)
-
-    pieces = [in_r, pendants, pair_edges]
-    union = set().union(*pieces)
-    cover_ok = union == all_edges
-    disjoint_ok = sum(len(s) for s in pieces) == len(union)
-
-    cyclic_graph = build_power_graph(build_cyclic(n_r))
-    cyclic_edges = cyclic_graph.edge_count
-    prefix = induced_subgraph(graph, range(n_r))
-    prefix_matches = prefix.adj == cyclic_graph.adj
-
-    expected = cyclic_edges + n_r // 2 + 5 * (n_r // 4)
-    count_ok = (
-        graph.edge_count == expected
-        and len(pendants) == n_r // 2
-        and len(pair_edges) == 5 * (n_r // 4)
-    )
-
+    prefix, ends = (1 << n_r) - 1, 1 | 1 << part.u
+    members = _mask(v for pair in part.partner_pairs for v in pair)
+    pieces = [
+        [(prefix, prefix)],
+        [(1, _mask(part.h2))],  # one pendant at e per even reflection
+        [(ends, members), *((1 << y, 1 << z) for y, z in part.partner_pairs)],
+    ]
+    in_r, pendants, pair_edges = (_count(graph, _rule(graph.n, b)) for b in pieces)
+    union = _count(graph, _rule(graph.n, [st for b in pieces for st in b]))
+    rows = _order_divisibility_rows(n_r)
+    cyclic_edges = sum(row.bit_count() for row in rows) // 2
+    count_ok = (graph.edge_count == cyclic_edges + n_r // 2 + 5 * (n_r // 4)
+                and pendants == n_r // 2 and pair_edges == 5 * (n_r // 4))
     return StructureReport(
-        edges_total=graph.edge_count,
-        edges_in_r=len(in_r),
-        pendant_count=len(pendants),
-        pair_edge_count=len(pair_edges),
-        cyclic_edge_count=cyclic_edges,
-        prefix_matches_cyclic=prefix_matches,
-        cover_ok=cover_ok,
-        disjoint_ok=disjoint_ok,
+        edges_total=graph.edge_count, edges_in_r=in_r, pendant_count=pendants,
+        pair_edge_count=pair_edges, cyclic_edge_count=cyclic_edges,
+        prefix_matches_cyclic=all(graph.adj[x] & prefix == rows[x] for x in range(n_r)),
+        cover_ok=union == graph.edge_count,
+        disjoint_ok=in_r + pendants + pair_edges == union,
         count_identity_ok=count_ok,
     )
 

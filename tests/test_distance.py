@@ -195,22 +195,47 @@ def test_polynomial_string():
 
 @st.composite
 def small_graphs(draw):
+    """Random graphs on 1..12 vertices; half of them have vertex 0 joined to
+    every vertex, as the identity of a power graph is."""
     n = draw(st.integers(1, 12))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    if draw(st.booleans()):
+        edges |= {(0, v) for v in range(1, n)}
     return Graph.from_edges(n, sorted(edges))
 
 
 @settings(max_examples=300, deadline=None)
 @given(small_graphs())
 def test_profile_matches_all_pairs_oracle(g):
+    check_profile_against_oracle(g)
+
+
+@pytest.mark.parametrize("g", [
+    Graph.from_edges(1, []),
+    Graph.from_edges(2, [(0, 1)]),
+    complete_graph(7),
+    star_graph(6),
+    # vertex 3 is universal, vertex 0 is not
+    Graph.from_edges(6, [(3, v) for v in range(6) if v != 3] + [(0, 1), (4, 5)]),
+    build_power_graph(build_cyclic(12)),
+    family_graph(2, 3),
+], ids=["n1", "n2", "k7", "star", "universal-3", "z12", "family-2-3"])
+def test_profile_fixed_cases(g):
+    check_profile_against_oracle(g)
+
+
+def check_profile_against_oracle(g):
     table = all_pairs_distances(g)
     ordered = [d for row in table for d in row]
     n = g.n
     reach = [d for d in ordered if d > 0]
     oracle_counts = (n, *(reach.count(d) // 2 for d in range(1, max(reach, default=0) + 1)))
 
-    dd = distance_profile(g).distribution()
+    profile = distance_profile(g)
+    assert profile.layers == tuple(tuple(row.count(d) for d in range(max(row) + 1))
+                                   for row in table)
+    dd = profile.distribution()
     assert dd.counts == oracle_counts
     assert dd.unreachable_pairs == ordered.count(-1) // 2
     assert wiener_index(g) == dd.wiener == sum(reach) // 2

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from powg import (
@@ -14,7 +16,11 @@ from powg import (
     partition,
     verify_structure_theorem,
 )
+from powg.graphs import EDGE_KINDS, EDGE_PATTERN_TAGS, _order_divisibility_rows
 from conftest import complete_graph
+
+# n_r = 2^k p of the 15-case ladder, k = 2..6 and p = 3, 5, 7
+LADDER_N_R = sorted({2 ** k * p for k in range(2, 7) for p in (3, 5, 7)})
 
 
 def is_prime_power(n: int) -> bool:
@@ -149,6 +155,120 @@ def test_classify_edges_family_2_3():
     for x, y in cls.kind_edges["unclassified"]:
         assert part.u in (x, y)
         assert (set((x, y)) - {part.u}).pop() in part.h1
+
+
+def classify_by_loop(graph, part):
+    """The per-edge membership test of every pattern and kind: the oracle for
+    the mask counts of classify_edges."""
+    u = part.u
+    pair_of = {}
+    for y, z in part.partner_pairs:
+        pair_of[y] = z
+        pair_of[z] = y
+    a1, a2, a3 = part.a1, part.a2, part.a3
+    a4, a5, a6 = part.a4, part.a5, part.a6
+    omega = part.omega
+    patterns = {tag: [] for tag in EDGE_PATTERN_TAGS}
+    kinds = {kind: [] for kind in (*EDGE_KINDS, "unclassified")}
+    for x, y in graph.edges():
+        if x in a1 and y in a1:
+            patterns["E1"].append((x, y))
+        if x in a3 and y in a3:
+            patterns["E4"].append((x, y))
+        if (x == 0 and y in a3) or (y == 0 and x in a3):
+            patterns["E5"].append((x, y))
+        if (x == 0 and y in a2) or (y == 0 and x in a2):
+            patterns["E6"].append((x, y))
+        if x in a5 and y in a5:
+            patterns["E7"].append((x, y))
+        if x in omega and y in omega:
+            patterns["E8"].append((x, y))
+        if (x in a5 and y in omega) or (y in a5 and x in omega):
+            patterns["E9"].append((x, y))
+        if (x in a6 and y in omega) or (y in a6 and x in omega):
+            patterns["E10"].append((x, y))
+        if pair_of.get(x) == y:
+            patterns["E11"].append((x, y))
+        if x in a4 and y in a4:
+            patterns["E12"].append((x, y))
+        if x in a4 and y in a4 and u in (x, y):
+            patterns["E13"].append((x, y))
+
+        if (x, y) == (0, u):
+            kinds["eu"].append((x, y))
+        elif x == 0 and y in part.h1:
+            kinds["eh1"].append((x, y))
+        elif x == 0 and y in part.h2:
+            kinds["eh2"].append((x, y))
+        elif x == 0 and y in part.h3:
+            kinds["eh3"].append((x, y))
+        elif x == u and y in part.h3:
+            kinds["uh3"].append((x, y))
+        elif x in part.h1 and y in part.h1:
+            kinds["vw"].append((x, y))
+        elif pair_of.get(x) == y:
+            kinds["yz"].append((x, y))
+        else:
+            kinds["unclassified"].append((x, y))
+    return ({tag: tuple(v) for tag, v in patterns.items()},
+            {kind: tuple(v) for kind, v in kinds.items()})
+
+
+@pytest.mark.parametrize("k,p", [(2, 3), (2, 5), (3, 3), (4, 3), (3, 5)])
+def test_classify_counts_match_edge_loop(k, p):
+    graph, part = family_graph(k, p)
+    cls = classify_edges(graph, part)
+    patterns, kinds = classify_by_loop(graph, part)
+    assert cls.pattern_counts() == {tag: len(v) for tag, v in patterns.items()}
+    assert cls.kind_counts() == {kind: len(v) for kind, v in kinds.items()}
+    assert cls.pattern_edges == patterns
+    assert cls.kind_edges == kinds
+
+
+def test_order_divisibility_rows_are_cyclic_power_graphs():
+    for n in [*range(1, 65), *LADDER_N_R]:
+        assert _order_divisibility_rows(n) == build_power_graph(build_cyclic(n)).adj, n
+
+
+def perturbed(graph, add=(), remove=()):
+    edges = (set(graph.edges()) | set(add)) - set(remove)
+    return Graph.from_edges(graph.n, sorted(edges), graph.labels)
+
+
+def test_added_h2_edge_is_a_finding():
+    graph, part = family_graph(2, 3)
+    a, b = sorted(part.h2)[:2]
+    bad = perturbed(graph, add=[(a, b)])
+    rep = verify_structure_theorem(bad, part)
+    assert not rep.cover_ok and not rep.count_identity_ok
+    assert rep.disjoint_ok and rep.prefix_matches_cyclic and not rep.ok
+    before = classify_edges(graph, part).kind_counts()["unclassified"]
+    assert classify_edges(bad, part).kind_counts()["unclassified"] == before + 1
+
+
+def test_removed_prefix_edge_is_a_finding():
+    graph, part = family_graph(2, 3)
+    bad = perturbed(graph, remove=[(1, 2)])
+    rep = verify_structure_theorem(bad, part)
+    assert not rep.prefix_matches_cyclic and not rep.ok
+    assert rep.edges_in_r == verify_structure_theorem(graph, part).edges_in_r - 1
+
+
+def test_removed_pair_edge_lowers_the_pair_count():
+    graph, part = family_graph(2, 3)
+    y = part.partner_pairs[0][0]
+    bad = perturbed(graph, remove=[(part.u, y)])
+    rep = verify_structure_theorem(bad, part)
+    assert rep.pair_edge_count == verify_structure_theorem(graph, part).pair_edge_count - 1
+    assert rep.cover_ok and not rep.count_identity_ok
+
+
+def test_pair_member_in_h2_is_not_disjoint():
+    graph, part = family_graph(2, 3)
+    (y, _), *rest = part.partner_pairs
+    bad_part = dataclasses.replace(part, partner_pairs=((y, min(part.h2)), *rest))
+    rep = verify_structure_theorem(graph, bad_part)
+    assert not rep.disjoint_ok and not rep.ok
 
 
 def test_classify_kind_partition_conserves_edges():
