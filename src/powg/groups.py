@@ -170,33 +170,26 @@ def build_family(params: FamilyParams) -> FiniteGroup:
     """Construct the family group for (k, p).
 
     Product rule on pairs: (a1, b1) * (a2, b2) = (a1 + a2 * m^b1 mod 2^k p,
-    b1 xor b2) with m = 2^(k-1) p - 1.  The defining relations are verified
-    after construction.
+    b1 xor b2) with m = 2^(k-1) p - 1.  The table is built by whole rows,
+    with no per-entry arithmetic: the row of (a1, 0) is the rotation
+    rot = [a1 .. n-1, 0 .. a1-1] followed by rot + n, and entry (a2, b2) of
+    the row of (a1, 1) is entry (a2 * m mod n, 1 - b2) of the row of (a1, 0),
+    one fixed permutation for every row.  The defining relations are
+    verified after construction.
     """
     n = params.n_r
     m = params.twist
     order = params.order
 
-    table = []
-    for idx1 in range(order):
-        a1, b1 = idx1 % n, idx1 // n
-        fac = m if b1 else 1
-        row = []
-        for idx2 in range(order):
-            a2, b2 = idx2 % n, idx2 // n
-            row.append((a1 + a2 * fac) % n + (b1 ^ b2) * n)
-        table.append(tuple(row))
-    table = tuple(table)
+    low, high = list(range(n)), list(range(n, order))
+    rows = [tuple(low[a:] + low[:a] + high[a:] + high[:a]) for a in range(n)]
+    twisted = [a * m % n for a in range(n)]
+    swap_twist = operator.itemgetter(*[t + n for t in twisted], *twisted)
+    table = tuple(rows + [swap_twist(row) for row in rows])
 
-    labels = []
-    for idx in range(order):
-        a, b = idx % n, idx // n
-        if b == 0:
-            labels.append("e" if a == 0 else ("r" if a == 1 else f"r^{a}"))
-        else:
-            # (a, 1) is r^a s = s r^(a*m mod n)
-            j = a * m % n
-            labels.append("s" if j == 0 else ("s·r" if j == 1 else f"s·r^{j}"))
+    labels = ["e" if a == 0 else ("r" if a == 1 else f"r^{a}") for a in range(n)]
+    # (a, 1) is r^a s = s r^(a*m mod n)
+    labels += ["s" if j == 0 else ("s·r" if j == 1 else f"s·r^{j}") for j in twisted]
 
     g = FiniteGroup(order, table, tuple(labels), family=params)
 

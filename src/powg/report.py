@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import os
 import re
 import sys
@@ -42,6 +43,7 @@ from .groups import FamilyParams, build_family, partition
 from .matching import DEFAULT_MEMO_LIMIT, MatchingEngine, TwinEngine
 
 JSON_SAFE_INT = 1 << 53
+_encode_str = json.encoder.encode_basestring_ascii  # the C escaper json itself uses
 DEFAULT_SKIP_INDEX_ABOVE = 56
 # the twin run's statistics, as reported and as stored with its cache entry
 CACHED_STATS = ("memo_entries", "subproblems", "classes")
@@ -78,8 +80,8 @@ class ResultCache:
             return None
         try:
             return json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            return None
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError):
+            return None  # unreadable, not UTF-8, not JSON or nested too deep: a miss
 
     def put(self, parts, obj) -> None:
         """Store obj under parts.  The result is already computed, so a cache
@@ -380,8 +382,74 @@ def verify_cases(ks, ps, *, skip_index_above: int = DEFAULT_SKIP_INDEX_ABOVE,
 
 
 def render_report(doc: dict) -> str:
-    """Deterministic JSON rendering (timings vary run to run, nothing else)."""
-    return json.dumps(jsonable(doc), sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON rendering (timings vary run to run, nothing else).
+
+    One pass converts and encodes: the text is byte-identical to
+    json.dumps(jsonable(doc), sort_keys=True, indent=2) + "\\n", which the
+    tests keep as the oracle, without building the converted copy and
+    without the pure-Python encoder that json uses whenever indent is set.
+    """
+    chunks: list[str] = []
+    _write(doc, "\n", chunks.append)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _write(value, newline: str, out) -> None:
+    """Append the JSON text of value to out; newline is the line break plus
+    the indentation of the line that holds value."""
+    if isinstance(value, dict):
+        if not all(type(key) is str for key in value):
+            value = jsonable(value)  # str() keys; a collision keeps the last value
+        keys = sorted(value)
+        heads = [_encode_str(key) + ": " for key in keys]
+        items = [value[key] for key in keys]
+        opener, closer = "{", "}"
+    elif isinstance(value, (list, tuple)):
+        heads, items = [""] * len(value), value
+        opener, closer = "[", "]"
+    else:
+        out(_scalar_text(value))
+        return
+    if not items:
+        out(opener + closer)
+        return
+    inner = newline + "  "
+    texts = [_scalar_text(item) for item in items]
+    if None not in texts:  # all scalars: the whole container is one string
+        out(opener + inner + ("," + inner).join(map(operator.add, heads, texts))
+            + newline + closer)
+        return
+    separator = opener + inner
+    for head, item, text in zip(heads, items, texts):
+        out(separator + head)
+        if text is None:
+            _write(item, inner, out)
+        else:
+            out(text)
+        separator = "," + inner
+    out(newline + closer)
+
+
+def _scalar_text(value) -> str | None:
+    """JSON text of a scalar, or None for a container.  str, safe ints, bools
+    and None are written here; every other value follows jsonable (big ints
+    and Fractions as strings, TypeError for unsupported types) and json's
+    own float rule (NaN, Infinity)."""
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is int and -JSON_SAFE_INT <= value <= JSON_SAFE_INT:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, (dict, list, tuple)):
+        return None
+    return json.dumps(jsonable(value))
 
 
 def strip_timings(doc: dict) -> dict:

@@ -43,6 +43,29 @@ def test_family_relations():
     assert g.mult(g.mult(s, r), g.inverse(s)) == g.power(r, params.twist)
 
 
+def family_table_by_definition(params):
+    """The family's Cayley table entry by entry: (a1, b1) * (a2, b2) =
+    (a1 + a2 * m^b1 mod 2^k p, b1 xor b2), encoded a + b * 2^k p."""
+    n, m = params.n_r, params.twist
+    table = []
+    for idx1 in range(params.order):
+        a1, b1 = idx1 % n, idx1 // n
+        fac = m if b1 else 1
+        row = []
+        for idx2 in range(params.order):
+            a2, b2 = idx2 % n, idx2 // n
+            row.append((a1 + a2 * fac) % n + (b1 ^ b2) * n)
+        table.append(tuple(row))
+    return tuple(table)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_family_table_matches_definition(k, p):
+    params = FamilyParams(k, p)
+    assert build_family(params).table == family_table_by_definition(params)
+
+
 def test_family_sr_squares_to_u():
     # (s·r)^2 = u, so s·r has order 4
     params = FamilyParams(2, 3)

@@ -2,12 +2,15 @@ import hashlib
 import json
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from powg import report
 from powg.cli import main
-from powg.report import ResultCache, render_report, strip_timings, verify_cases
+from powg.report import JSON_SAFE_INT, ResultCache, jsonable, render_report, strip_timings, \
+    verify_cases
 
 # sha256 of the timing-stripped report below, recorded when the decomposition
 # engine became the primary oracle, with the twin-class engine as its
@@ -29,6 +32,66 @@ def test_pinned_report_digest():
     text = render_report(doc)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
         PINNED_NO_ENGINE_STATS_SHA256
+
+
+def json_oracle(doc) -> str:
+    """The report text as the json module writes it; render_report must match
+    it byte for byte."""
+    return json.dumps(jsonable(doc), sort_keys=True, indent=2) + "\n"
+
+
+SAFE_EDGE_INTS = [JSON_SAFE_INT, -JSON_SAFE_INT, JSON_SAFE_INT + 1, -JSON_SAFE_INT - 1,
+                  -(10 ** 40), 0]
+scalars = st.one_of(
+    st.integers(),
+    st.sampled_from(SAFE_EDGE_INTS),
+    st.booleans(),
+    st.none(),
+    st.sampled_from([0.1, -0.0, 1e300, float("nan"), float("inf"), float("-inf")]),
+    st.builds(Fraction, st.integers(min_value=-(10 ** 30), max_value=10 ** 30)),
+    st.builds(Fraction, st.integers(), st.integers(min_value=1, max_value=10 ** 6)),
+    st.text(alphabet=st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\x7f", "a", "é",
+                                      "\u2028", "\U0001F600"])),
+)
+keys = st.one_of(
+    st.text(max_size=3, alphabet="ab12/"),
+    st.integers(min_value=-3, max_value=3),
+    st.builds(Fraction, st.integers(min_value=-3, max_value=3), st.integers(min_value=1, max_value=2)),
+)
+documents = st.recursive(
+    scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.lists(st.integers(min_value=-JSON_SAFE_INT, max_value=JSON_SAFE_INT), max_size=5),
+        st.dictionaries(keys, inner, max_size=5),
+        st.dictionaries(st.text(max_size=3), scalars, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(documents)
+def test_render_report_matches_json_oracle(doc):
+    assert render_report(doc) == json_oracle(doc)
+
+
+def test_render_report_fixed_documents_match_json_oracle():
+    collide = {1: "int", "1": "str", Fraction(1, 2): "fraction", 2.5: "float", None: "none"}
+    assert render_report(collide) == json_oracle(collide)
+    assert json.loads(render_report(collide))["1"] == "str"  # the last value wins
+    empties = {"d": {}, "l": [], "t": (), "nested": [[], {}, ((),), {"x": {}}]}
+    assert render_report(empties) == json_oracle(empties)
+    doc = verify_cases([2, 3], [3], skip_index_above=24, use_cache=False)
+    assert isinstance(doc["timings"]["total"], float)
+    assert render_report(doc) == json_oracle(doc)
+
+
+@pytest.mark.parametrize("doc", [object(), {"x": [1, {2, 3}]}, {1: b"bytes"}])
+def test_render_report_rejects_unsupported_types(doc):
+    with pytest.raises(TypeError):
+        render_report(doc)
 
 
 def test_cache_put_leaves_one_entry_and_no_temp_files(tmp_path):
@@ -111,6 +174,23 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path, monkeypatch, entry):
     # the corrupt entries were recomputed and overwritten
     for path in entries:
         assert json.loads(path.read_text(encoding="utf-8")) == stored[path]
+
+
+@pytest.mark.parametrize("raw", [b"\xff\xfe{", b"[" * 100_000],
+                         ids=["not-utf8", "nested-deeper-than-json-loads-recurses"])
+def test_undecodable_cache_entry_is_a_miss(tmp_path, monkeypatch, raw):
+    cache_dir = tmp_path / "cache"
+    monkeypatch.setenv("POWG_CACHE_DIR", str(cache_dir))
+    rc, fresh = _verify_23(tmp_path, "fresh.json")
+    assert rc == 0
+    [path] = sorted(cache_dir.glob("*.json"))
+    stored = path.read_bytes()
+    path.write_bytes(raw)
+
+    rc, again = _verify_23(tmp_path, "again.json")
+    assert rc == 0
+    assert strip_timings(again) == strip_timings(fresh)
+    assert path.read_bytes() == stored
 
 
 def test_entry_under_another_engine_digest_is_not_served(tmp_path, monkeypatch):
