@@ -7,7 +7,7 @@ the oracle side is ground truth by construction.
 
 from powg.report import compare, render_report
 
-frag = compare(2, 3, include_index=True, cache=None)
+frag = compare(2, 3, include_index=True)
 
 case = frag["case"]
 print(f"case: family {case['family']} (k={case['k']}, p={case['p']}), "
@@ -17,7 +17,7 @@ print(f"oracle: {frag['oracle']['edge_count']} edges, "
       f"Z = {frag['oracle']['hosoya_index']}")
 print(f"published totals: printed {frag['paper']['printed']['hosoya_index']['total']}, "
       f"corrected {frag['paper']['corrected']['hosoya_index']['total']}")
-print(f"decomposition and twin engines agree: "
+print(f"decomposition engine and arithmetic count agree: "
       f"{frag['engine_stats']['cross_check_identical']}")
 
 print(f"\n{len(frag['diffs'])} diff rows; grouped by invariant:")

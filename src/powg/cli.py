@@ -8,7 +8,9 @@
     powg verify --k K1[,K2...] --p P1[,P2...] [--out FILE] [--skip-index-above N] [--no-cache]
 
 Exit codes: 0 success (diffs in verify reports are findings, not failures),
-1 usage error, 2 invalid input, 3 matching-engine resource limit.
+1 usage error, 2 invalid input, 3 matching-engine resource limit,
+4 verify's cross-check failed (the matching engine and the order-arithmetic
+count disagree).
 """
 
 from __future__ import annotations
@@ -29,12 +31,13 @@ from .graphs import build_power_graph, export
 from .groups import FamilyParams, FiniteGroup, GroupError, build_cyclic, build_family, \
     element_order, load_cayley_table, partition
 from .matching import DEFAULT_MEMO_LIMIT, MatchingLimitError, matching_polynomial
-from .report import DEFAULT_SKIP_INDEX_ABOVE, render_report, verify_cases
+from .report import DEFAULT_SKIP_INDEX_ABOVE, CrossCheckError, render_report, verify_cases
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVALID = 2
 EXIT_RESOURCE = 3
+EXIT_CROSS_CHECK = 4
 
 
 class UsageError(Exception):
@@ -114,9 +117,11 @@ def build_parser() -> _Parser:
     sp.add_argument("--out", metavar="FILE")
     sp.add_argument("--skip-index-above", type=int, default=DEFAULT_SKIP_INDEX_ABOVE,
                     metavar="N",
-                    help="skip the Hosoya index (both matching engines) above this "
-                         "graph order (default %(default)s)")
-    sp.add_argument("--no-cache", action="store_true")
+                    help="skip the Hosoya index (the decomposition engine and its "
+                         "arithmetic cross-check) above this graph order "
+                         "(default %(default)s)")
+    sp.add_argument("--no-cache", action="store_true",
+                    help="accepted and ignored: verify keeps no cache")
     return parser
 
 
@@ -202,9 +207,7 @@ def _cmd_verify(args) -> int:
     ps = _parse_int_list(args.p)
     if not ks or not ps:
         raise UsageError("--k and --p must list at least one value each")
-    doc = verify_cases(ks, ps,
-                       skip_index_above=args.skip_index_above,
-                       use_cache=not args.no_cache,
+    doc = verify_cases(ks, ps, skip_index_above=args.skip_index_above,
                        memo_limit=DEFAULT_MEMO_LIMIT)
     _emit(render_report(doc), args.out)
     return EXIT_OK
@@ -236,6 +239,9 @@ def main(argv=None) -> int:
     except MatchingLimitError as exc:
         print(f"powg: resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except CrossCheckError as exc:
+        print(f"powg: cross-check failed: {exc}", file=sys.stderr)
+        return EXIT_CROSS_CHECK
     except (GroupError, ValueError) as exc:
         print(f"powg: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID

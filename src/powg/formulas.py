@@ -230,3 +230,80 @@ def paper_hosoya_index(k: int, p: int, mode: str = "printed"
              for family in FAMILY_TAGS for i in ranges[family]]
     total = 1 + sum(t.count for t in terms)
     return total, terms
+
+
+def family_matching_polynomial(k: int, p: int) -> list[int]:
+    """Matching polynomial m_0, m_1, ... of the family's power graph from
+    (k, p) alone, by order arithmetic: no table, graph or partition is read,
+    so it is a structurally different check on the matching engines.
+
+    With N = 2^k p: e is universal, the N/2 involutions s r^(2j) hang at e,
+    and the N/4 pairs {y, y^3} of order 4 are K2s joined to u = r^(N/2).
+    Q = P(Z_N) - {e, u} is the phi(N) generators joined to two cliques: X
+    holds the orders 2^a (a >= 2), Y the orders p 2^b (b < k), and p 2^b
+    sees 2^a when a <= b.  Expand at u, which sees the even orders of Q.
+    """
+    params = FamilyParams(k, p)
+    n_r, q = params.n_r, params.quarter
+    phi2 = [1] + [1 << (a - 1) for a in range(1, k + 1)]  # phi(2^a)
+    gens = phi2[k] * (p - 1)  # phi(N)
+    xs = [0, 0] + phi2[2:]  # X level a: the elements of order 2^a
+    ys = [phi2[b] * (p - 1) for b in range(k)]  # Y level b: order p 2^b
+    m_q = _chain_matchings(xs, ys, gens)
+    # the sum of m(Q - w) over the neighbours w of u, one term per order
+    s = [gens * c for c in _chain_matchings(xs, ys, gens - 1)]
+    for a in range(2, k + 1):
+        _add_into(s, _chain_matchings([c - (j == a) for j, c in enumerate(xs)], ys, gens), xs[a])
+    for b in range(1, k):
+        _add_into(s, _chain_matchings(xs, [c - (j == b) for j, c in enumerate(ys)], gens), ys[b])
+    # u unmatched, matched to one of the N/2 pair vertices, or matched into Q
+    binom = [math.comb(q, j) for j in range(q + 1)]
+    m = _convolve(binom, m_q)
+    _add_into(m, _convolve([math.comb(q - 1, j) for j in range(q)], m_q), n_r // 2, 1)
+    _add_into(m, _convolve(binom, s), 1, 1)
+    m = _add_universal(m, 2 * n_r - 1, 1)  # e joins G - e
+    while m[-1] == 0:
+        m.pop()
+    return m
+
+
+def _chain_matchings(xs: list[int], ys: list[int], gens: int = 0) -> list[int]:
+    """Matching polynomial of gens universal vertices joined to two cliques,
+    with xs[a] X vertices at level a and ys[b] Y vertices at level b, where
+    level b of Y sees the X levels a <= b.  The cross edges are a Ferrers
+    board with the heights h sorted level by level; its rook numbers take
+    r_t += (h - t + 1) r_(t-1) per column (Goldman, Joichi and White, "Rook
+    theory I", 1975).  t rooks leave cliques of |X| - t and |Y| - t
+    vertices, so before the gens join, m = sum_t r_t x^t K(|X|-t) K(|Y|-t)."""
+    rooks = [1]
+    for b, size in enumerate(ys):
+        height = sum(xs[:b + 1])
+        for _ in range(size):
+            rooks = [r + (height - t + 1) * rooks[t - 1] if t else r
+                     for t, r in enumerate(rooks + [0])]
+            if rooks[-1] == 0:
+                rooks.pop()
+    nx, ny = sum(xs), sum(ys)
+    poly: list[int] = []
+    for t, r in enumerate(rooks):
+        _add_into(poly, _convolve(_k_n_row(nx - t, "corrected"),
+                                  _k_n_row(ny - t, "corrected")), r, t)
+    return _add_universal(poly, nx + ny, gens)
+
+
+def _add_universal(poly: list[int], n: int, count: int) -> list[int]:
+    """Matching polynomial after count universal vertices join a graph on n
+    vertices, one at a time: m_i(G + w) = m_i(G) + (n - 2i + 2) m_(i-1)(G)."""
+    poly = list(poly)
+    for size in range(n, n + count):
+        poly.append(0)
+        for i in range(len(poly) - 1, 0, -1):
+            poly[i] += (size - 2 * i + 2) * poly[i - 1]
+    return poly
+
+
+def _add_into(total: list[int], row: list[int], weight: int, shift: int = 0) -> None:
+    """total += weight * x^shift * row, extending total as needed."""
+    total.extend([0] * (len(row) + shift - len(total)))
+    for i, c in enumerate(row):
+        total[i + shift] += weight * c

@@ -4,13 +4,11 @@ matching_polynomial counts i-edge matchings for every i with MatchingEngine,
 a decomposition recursion memoized on vertex-subset bitmasks: components
 are factored, a subgraph whose complement is disconnected is the complete
 join of its parts, and any other subgraph pivots on a vertex of maximum
-degree, with neighbours of equal closed neighbourhood taken once.  TwinEngine
-is its structurally different cross-check: a pivot recursion over
-closed-twin classes (vertices with equal closed neighbourhoods), memoized on
-the per-class count vector, with component factorization at the class level
-and no join rule.  brute_force_matchings is the independent oracle for small
-graphs: plain include/exclude recursion over the edge list with a vertex-use
-mask and no memoization.  All counts are exact Python integers.
+degree, with neighbours of equal closed neighbourhood taken once.  Two test
+oracles share none of that: TwinEngine, a pivot recursion memoized on how
+many vertices of each closed-twin class remain, reaches beyond brute-force
+size; brute_force_matchings enumerates every matching of up to 16 vertices.
+All counts are exact Python integers.
 """
 
 from __future__ import annotations

@@ -9,29 +9,15 @@ corrupt them.
 
 from __future__ import annotations
 
-import functools
 import json
-import math
 import operator
-import os
-import re
-import sys
-import tempfile
 import time
 from fractions import Fraction
-from pathlib import Path
 
-try:  # builtin sha256 first: importing hashlib maps OpenSSL, about 3.5 MB resident
-    from _sha2 import sha256  # Python 3.12+
-except ImportError:
-    try:
-        from _sha256 import sha256
-    except ImportError:
-        from hashlib import sha256
-
-from . import __version__, matching
+from . import __version__
 from .distance import distance_profile
 from .formulas import (
+    family_matching_polynomial,
     paper_degree_claims,
     paper_edge_type_counts,
     paper_hosoya_coeffs,
@@ -40,72 +26,27 @@ from .formulas import (
 )
 from .graphs import build_power_graph, classify_edges, verify_structure_theorem
 from .groups import FamilyParams, build_family, partition
-from .matching import DEFAULT_MEMO_LIMIT, MatchingEngine, TwinEngine
+from .matching import DEFAULT_MEMO_LIMIT, MatchingEngine
 
 JSON_SAFE_INT = 1 << 53
 _encode_str = json.encoder.encode_basestring_ascii  # the C escaper json itself uses
 DEFAULT_SKIP_INDEX_ABOVE = 56
-# the twin run's statistics, as reported and as stored with its cache entry
-CACHED_STATS = ("memo_entries", "subproblems", "classes")
 
 
-def default_cache_dir() -> Path:
-    env = os.environ.get("POWG_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "powg"
-
-
-@functools.cache
-def _engine_digest() -> str:
-    """sha256 of the matching engine's source; cache entries are keyed by it,
-    so any engine change retires every stored result."""
-    return sha256(Path(matching.__file__).read_bytes()).hexdigest()
+class CrossCheckError(RuntimeError):
+    """The matching engine and the order-arithmetic count disagree."""
 
 
 class ResultCache:
-    """On-disk map for expensive results, keyed by case and engine source."""
-
-    def __init__(self, root: Path | str | None = None):
-        self.root = Path(root) if root is not None else default_cache_dir()
-        self.warned = False
-
-    def _path(self, parts) -> Path:
-        name = "-".join(re.sub(r"[^A-Za-z0-9._]+", "_", str(p)) for p in parts)
-        return self.root / f"{name}.json"
+    """Empty stand-in for the deleted result cache, which nothing in powg
+    calls: perfbench/tracing.py METHODS binds get and put by name.  Delete it
+    once a benchmark change drops those entries."""
 
     def get(self, parts):
-        path = self._path(parts)
-        if not path.exists():
-            return None
-        try:
-            return json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError):
-            return None  # unreadable, not UTF-8, not JSON or nested too deep: a miss
+        return None
 
     def put(self, parts, obj) -> None:
-        """Store obj under parts.  The result is already computed, so a cache
-        that cannot be written costs one warning line on stderr, once per
-        cache, not the run."""
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            # a unique temp name per writer, so concurrent runs never share one
-            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    fh.write(json.dumps(obj, sort_keys=True))
-                os.replace(tmp, self._path(parts))
-            except BaseException:
-                os.unlink(tmp)
-                raise
-        except OSError as exc:
-            if not self.warned:
-                self.warned = True
-                # mkdir(exist_ok=True) raises FileExistsError only for a non-directory
-                reason = ("not a directory" if isinstance(exc, FileExistsError)
-                          else exc.strerror or exc)
-                print(f"powg: warning: cannot write cache entry in {self.root}: "
-                      f"{reason}", file=sys.stderr)
+        pass
 
 
 def jsonable(value):
@@ -127,62 +68,18 @@ def jsonable(value):
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _cached_run(entry, graph):
-    """(coeffs, stats) of a cached engine run, or None when the entry is absent,
-    malformed (missing fields, non-integer values) or contradicts the graph:
-    a miss, recomputed.  The checks are exact identities of any matching
-    polynomial: m_0 = 1, m_1 = |E|, m_2 = C(|E|, 2) - sum_v C(deg v, 2) and
-    at most n // 2 + 1 coefficients."""
-    try:
-        coeffs = [_cached_int(c) for c in entry["coeffs"]]
-        stats = {k: _cached_int(entry["stats"][k]) for k in CACHED_STATS}
-    except (TypeError, KeyError, ValueError):
-        return None
-    edges = graph.edge_count
-    m2 = math.comb(edges, 2) - sum(math.comb(graph.degree(v), 2) for v in range(graph.n))
-    if (coeffs + [0, 0])[:3] != [1, edges, m2] or len(coeffs) > graph.n // 2 + 1:
-        return None
-    return coeffs, stats
-
-
-def _cached_int(value) -> int:
-    if isinstance(value, str) and value.isascii() and value.isdigit():
-        return int(value)
-    if type(value) is int:
-        return value
-    raise ValueError(f"not an integer: {value!r}")
-
-
-def _oracle_index(graph, memo_limit, cache, case_tag):
-    """Matching polynomial of the graph from two structurally different
-    engines, with a cross-check that they agree.  The decomposition run is
-    the primary oracle; it is always fresh and never touches the cache, so
-    the cache alone never decides a result.  The twin-class run is its
-    cross-check: served from its entry (keyed by case and engine digest)
-    only when the entry passes _cached_run and equals the primary
-    polynomial; anything else is a miss, recomputed and overwritten."""
+def _oracle_index(graph, memo_limit, k, p):
+    """Matching polynomial and engine_stats of the graph, from two
+    structurally different computations that must agree: the decomposition
+    engine runs on the graph, and the order-arithmetic count reads only
+    (k, p)."""
     engine = MatchingEngine(graph, memo_limit=memo_limit)
     coeffs = list(engine.run().coeffs)
-    runs = [{"engine": "decomposition", **engine.stats}]
-
-    key = (case_tag, "matching-poly", "twin", _engine_digest())
-    hit = _cached_run(cache.get(key), graph) if cache is not None else None
-    if hit is not None and hit[0] == coeffs:
-        check, stats = hit
-    else:
-        twin = TwinEngine(graph, memo_limit=memo_limit)
-        check = list(twin.run().coeffs)
-        stats = {k: twin.stats[k] for k in CACHED_STATS}
-        if cache is not None:
-            cache.put(key, {"coeffs": [str(c) for c in check], "stats": stats})
-    runs.append({"engine": "twin", **stats})
-    identical = check == coeffs
-    if not identical:
-        raise RuntimeError(
-            f"matching engine cross-check failed: decomposition and twin engines "
-            f"disagree on {case_tag}"
-        )
-    return coeffs, runs, identical
+    if family_matching_polynomial(k, p) != coeffs:
+        raise CrossCheckError(f"the decomposition engine and the arithmetic count "
+                              f"disagree on sdl-k{k}-p{p}")
+    runs = [{"engine": "decomposition", **engine.stats}, {"engine": "arithmetic"}]
+    return coeffs, {"runs": runs, "skipped": False, "cross_check_identical": True}
 
 
 def _degree_block(graph, part):
@@ -259,15 +156,13 @@ def _diff_rows(oracle, paper_by_mode, part):
 
 
 def compare(k: int, p: int, *, include_index: bool = True,
-            memo_limit: int = DEFAULT_MEMO_LIMIT,
-            cache: ResultCache | None = None) -> dict:
+            memo_limit: int = DEFAULT_MEMO_LIMIT) -> dict:
     """Oracle-vs-closed-form comparison for one (k, p) case.
 
     Returns the report fragment: case identity, oracle block, per-mode
     closed-form block, diff rows, and engine statistics.
     """
     params = FamilyParams(k, p)
-    case_tag = f"sdl-k{k}-p{p}"
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
@@ -288,16 +183,11 @@ def compare(k: int, p: int, *, include_index: bool = True,
     timings["classification"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    engine_stats = {"runs": [], "skipped": not include_index}
+    engine_stats = {"runs": [], "skipped": True}
+    poly_val = index_val = None
     if include_index:
-        coeffs, runs, identical = _oracle_index(graph, memo_limit, cache, case_tag)
-        engine_stats = {"runs": runs, "skipped": False,
-                        "cross_check_identical": identical}
-        index_val = sum(coeffs)
-        poly_val = coeffs
-    else:
-        index_val = None
-        poly_val = None
+        poly_val, engine_stats = _oracle_index(graph, memo_limit, k, p)
+        index_val = sum(poly_val)
     timings["index"] = time.perf_counter() - t0
 
     oracle = {
@@ -360,11 +250,9 @@ def compare(k: int, p: int, *, include_index: bool = True,
 
 
 def verify_cases(ks, ps, *, skip_index_above: int = DEFAULT_SKIP_INDEX_ABOVE,
-                 use_cache: bool = True, cache_dir=None,
                  memo_limit: int = DEFAULT_MEMO_LIMIT) -> dict:
     """Run the comparison for every (k, p) in the cartesian product and
     assemble the verification document."""
-    cache = ResultCache(cache_dir) if use_cache else None
     cases = []
     t0 = time.perf_counter()
     for k in ks:
@@ -372,7 +260,7 @@ def verify_cases(ks, ps, *, skip_index_above: int = DEFAULT_SKIP_INDEX_ABOVE,
             params = FamilyParams(k, p)
             include_index = params.order <= skip_index_above
             cases.append(compare(k, p, include_index=include_index,
-                                 memo_limit=memo_limit, cache=cache))
+                                 memo_limit=memo_limit))
     return {
         "tool": "powg",
         "version": __version__,

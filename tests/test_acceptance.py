@@ -175,9 +175,8 @@ def test_criterion_6_structure_theorem():
     run_criterion("C6 structure theorem", 5.0, body)
 
 
-def test_criterion_7_full_verification(tmp_path, monkeypatch):
+def test_criterion_7_full_verification(tmp_path):
     out = tmp_path / "report.json"
-    monkeypatch.setenv("POWG_CACHE_DIR", str(tmp_path / "cache"))
 
     def body():
         from powg.cli import main

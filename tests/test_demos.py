@@ -1,4 +1,3 @@
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +13,6 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo, tmp_path):
-    env = {**os.environ, "POWG_CACHE_DIR": str(tmp_path / "cache")}
     res = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
-                         cwd=tmp_path, env=env, timeout=120)
+                         cwd=tmp_path, timeout=120)
     assert res.returncode == 0, res.stderr

@@ -1,10 +1,17 @@
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
 from powg import (
+    FamilyParams,
+    Graph,
+    MatchingEngine,
+    brute_force_matchings,
+    build_family,
+    build_power_graph,
     eval_matching_family,
     family_orders,
     paper_degree_claims,
@@ -13,7 +20,8 @@ from powg import (
     paper_hosoya_index,
     paper_rs_hosoya,
 )
-from powg.formulas import FAMILY_TAGS
+from powg.formulas import FAMILY_TAGS, _chain_matchings, family_matching_polynomial
+from powg.groups import _is_odd_prime
 
 
 def test_hosoya_coeffs():
@@ -195,3 +203,60 @@ def test_assembly_pinned_up_to_order_512():
                 line = f"{k} {p} {mode} {t.family} {t.order} {t.count} {t.note}\n"
                 digest.update(line.encode("utf-8"))
     assert digest.hexdigest() == ASSEMBLY_SHA256
+
+
+def _family_graph(k, p):
+    return build_power_graph(build_family(FamilyParams(k, p)))
+
+
+SMALL_CASES = [(k, p) for k in range(2, 8) for p in range(3, 80, 2)
+               if _is_odd_prime(p) and (2 << k) * p <= 160]
+LADDER = [(k, p) for k in range(2, 7) for p in (3, 5, 7)]
+
+
+def test_arithmetic_count_equals_the_engine_up_to_order_160():
+    assert len(SMALL_CASES) == 12
+    for k, p in SMALL_CASES:
+        engine = MatchingEngine(_family_graph(k, p)).run()
+        assert family_matching_polynomial(k, p) == list(engine.coeffs), (k, p)
+
+
+@pytest.mark.parametrize("k,p", LADDER)
+def test_arithmetic_count_low_orders_on_the_ladder(k, p):
+    graph = _family_graph(k, p)
+    m = family_matching_polynomial(k, p)
+    edges = graph.edge_count
+    m2 = math.comb(edges, 2) - sum(math.comb(graph.degree(v), 2) for v in range(graph.n))
+    assert m[:3] == [1, edges, m2]
+    assert len(m) <= graph.n // 2 + 1 and m[-1] > 0
+
+
+def _chain_graph(xs, ys, gens):
+    """Two cliques X and Y, Y level b joined to X levels a <= b, and gens
+    vertices joined to everything, built edge by edge."""
+    x_level = [a for a, c in enumerate(xs) for _ in range(c)]
+    y_level = [b for b, c in enumerate(ys) for _ in range(c)]
+    nx, ny = len(x_level), len(y_level)
+    n = nx + ny + gens
+    edges = [(i, j) for i in range(nx) for j in range(i + 1, nx)]
+    edges += [(nx + i, nx + j) for i in range(ny) for j in range(i + 1, ny)]
+    edges += [(i, nx + j) for i in range(nx) for j in range(ny) if x_level[i] <= y_level[j]]
+    edges += [(w, v) for w in range(nx + ny, n) for v in range(w)]
+    return Graph.from_edges(n, edges)
+
+
+def test_chain_piece_matches_brute_force():
+    # three X levels and two Y levels: Y sees no X, part of X or all but the
+    # top X level, as in the family; up to two generators, 8 vertices in all
+    checked = 0
+    for gens, levels in itertools.product(range(3), itertools.product(range(9), repeat=5)):
+        if sum(levels) + gens > 8:
+            continue
+        xs, ys = list(levels[:3]), list(levels[3:])
+        poly = _chain_matchings(xs, ys, gens)
+        while len(poly) > 1 and poly[-1] == 0:
+            poly.pop()
+        assert poly == list(brute_force_matchings(_chain_graph(xs, ys, gens)).coeffs), \
+            (xs, ys, gens)
+        checked += 1
+    assert checked == 2541
