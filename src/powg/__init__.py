@@ -10,6 +10,7 @@ from .groups import (
     build_cyclic,
     build_family,
     cyclic_subgroup,
+    cyclic_subgroups,
     element_order,
     load_cayley_table,
     partition,

@@ -29,7 +29,7 @@ from .formulas import (
 )
 from .graphs import build_power_graph, export
 from .groups import FamilyParams, FiniteGroup, GroupError, build_cyclic, build_family, \
-    element_order, load_cayley_table, partition
+    cyclic_subgroups, load_cayley_table, partition
 from .matching import DEFAULT_MEMO_LIMIT, MatchingLimitError, matching_polynomial
 from .report import DEFAULT_SKIP_INDEX_ABOVE, CrossCheckError, render_report, verify_cases
 
@@ -71,7 +71,7 @@ def _resolve_group(args) -> FiniteGroup:
     if args.cyclic is not None:
         return build_cyclic(args.cyclic)
     try:
-        text = Path(args.cayley).read_text(encoding="utf-8")
+        text = Path(args.cayley).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise GroupError(f"cannot read Cayley file: {exc}") from None
     return load_cayley_table(text)
@@ -139,10 +139,9 @@ def _emit(text: str, path: str | None) -> None:
 def _cmd_group(args) -> int:
     g = _resolve_group(args)
     print(f"order: {g.order}")
-    hist: dict[int, int] = {}
-    for x in g.elements():
-        t = element_order(g, x)
-        hist[t] = hist.get(t, 0) + 1
+    hist: dict[int, int] = {}  # order -> elements; each C adds its generators
+    for powers, generators in cyclic_subgroups(g):
+        hist[len(powers)] = hist.get(len(powers), 0) + len(generators)
     print("element orders: " + " ".join(f"{t}:{c}" for t, c in sorted(hist.items())))
     if g.family is not None:
         part = partition(g, g.family)

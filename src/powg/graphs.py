@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .groups import FiniteGroup, GroupPartition, cyclic_subgroup
+from .groups import FiniteGroup, GroupPartition, cyclic_subgroups
 
 # Tags of the edge-pattern table, after the E2 -> E10 and E3 -> E6 merges.
 EDGE_PATTERN_TAGS = ("E1", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13")
@@ -84,14 +84,24 @@ class Graph:
 
 
 def build_power_graph(g: FiniteGroup) -> Graph:
-    """Power graph of g: x ~ y (x != y) iff x in <y> or y in <x>."""
-    adj = [0] * g.order
-    for x in range(g.order):
-        for t in cyclic_subgroup(g, x):
-            if t != x:
-                adj[x] |= 1 << t
-                adj[t] |= 1 << x
-    return Graph(g.order, tuple(adj), g.labels)
+    """Power graph of g: x ~ y (x != y) iff x in <y> or y in <x>.
+
+    All generators of a cyclic subgroup C have the same closed neighbourhood,
+    so one power walk per C suffices: every generator is joined to every
+    member of C and every member to every generator, then the self bits are
+    cleared.  That is |C| + phi(|C|) mask ORs per C.
+    """
+    n = g.order
+    bit = [1 << v for v in range(n)]
+    adj = [0] * n
+    for powers, generators in cyclic_subgroups(g):
+        members = sum(bit[v] for v in powers)
+        gens = sum(bit[v] for v in generators)
+        for v in powers:
+            adj[v] |= gens
+        for v in generators:
+            adj[v] |= members
+    return Graph(n, tuple(a & ~b for a, b in zip(adj, bit)), g.labels)
 
 
 def induced_subgraph(graph: Graph, vertices) -> Graph:

@@ -12,7 +12,9 @@ With that encoding <r> occupies the contiguous index prefix 0..2^k p - 1.
 
 from __future__ import annotations
 
+import math
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 # Explicit n x n tables only; keeps memory at desk scale.
@@ -236,6 +238,34 @@ def cyclic_subgroup(g: FiniteGroup, x: int) -> frozenset[int]:
     raise GroupError(f"powers of element {x} never reach the identity")
 
 
+def cyclic_subgroups(g: FiniteGroup) -> Iterator[tuple[list[int], list[int]]]:
+    """Yield each cyclic subgroup C of g once, as (powers, generators).
+
+    powers lists x, x^2, .., x^o = e for the first x (in index order) that
+    generates C, so o = |C| = len(powers); generators lists the x^j with
+    gcd(j, o) = 1, the phi(o) elements of order o whose subgroup is C.
+    g must be a group.  GroupError if the powers of some x never reach e.
+    """
+    table, n = g.table, g.order
+    walked = bytearray(n)  # 1 once x is a generator of a yielded subgroup
+    for x in range(n):
+        if walked[x]:
+            continue
+        powers, y = [], x
+        for _ in range(n):
+            powers.append(y)
+            if y == 0:
+                break
+            y = table[y][x]
+        else:
+            raise GroupError(f"powers of element {x} never reach the identity")
+        o = len(powers)
+        generators = [powers[j - 1] for j in range(1, o + 1) if math.gcd(j, o) == 1]
+        for z in generators:
+            walked[z] = 1
+        yield powers, generators
+
+
 def partition(g: FiniteGroup, params: FamilyParams) -> GroupPartition:
     """Partition a family group into H0..H3 and list the H3 partner pairs.
 
@@ -265,9 +295,11 @@ def partition(g: FiniteGroup, params: FamilyParams) -> GroupPartition:
 
 def _validate_table(table: tuple[tuple[int, ...], ...]) -> None:
     """Check the group axioms exactly, at every order; raises GroupError
-    naming the first witness found.  Associativity is Light's test: if
-    (x·g)·y = x·(g·y) for all x, y and each g of a generating set, it holds
-    for all triples, as the elements passing it are closed under products."""
+    naming the first witness found.  Inverses are checked per element,
+    right (a 0 in its row) before left (a 0 in its column).  Associativity
+    is Light's test: if (x·g)·y = x·(g·y) for all x, y and each g of a
+    generating set, it holds for all triples, as the elements passing it
+    are closed under products."""
     n = len(table)
     ident = tuple(range(n))
     if table[0] != ident or tuple(row[0] for row in table) != ident:
@@ -277,10 +309,10 @@ def _validate_table(table: tuple[tuple[int, ...], ...]) -> None:
                 raise GroupError(f"identity element is at index {e}, not 0")
         raise GroupError("element 0 is not an identity (row or column broken)")
 
-    for x in range(n):
+    for x, column in enumerate(zip(*table)):
         if 0 not in table[x]:
             raise GroupError(f"element {x} has no right inverse")
-        if not any(table[y][x] == 0 for y in range(n)):
+        if 0 not in column:
             raise GroupError(f"element {x} has no left inverse")
 
     # `reached` is the closure of {0} under right multiplication by the
@@ -308,6 +340,19 @@ def _validate_table(table: tuple[tuple[int, ...], ...]) -> None:
             reached |= frontier
 
 
+def _parse_row(parts: list[str], n: int, line_no: int) -> tuple[int, ...]:
+    """A row that is not all canonical decimal indices: accept any int()
+    spelling (01, +1), else name the first bad entry."""
+    try:
+        row = tuple(int(v) for v in parts)
+    except ValueError:
+        raise GroupError(f"line {line_no}: non-integer entry") from None
+    for v in row:
+        if not 0 <= v < n:
+            raise GroupError(f"line {line_no}: entry {v} out of range 0..{n - 1}")
+    return row
+
+
 def load_cayley_table(text: str) -> FiniteGroup:
     """Parse and validate a Cayley-table file.
 
@@ -315,6 +360,11 @@ def load_cayley_table(text: str) -> FiniteGroup:
     0-based indices each (row g, column h gives g·h); index 0 must be the
     identity.  Optional trailing lines "label <index> <string>" attach
     display labels.  LF or CRLF both accepted.
+
+    Each row is one split and one map through a str -> index dictionary,
+    whose lookups also prove 0 <= v < n; only a row with a key missing from
+    it (a spelling such as 01 or +1, or a bad entry) goes through int() and
+    a range check.  The table is then validated by _validate_table.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
@@ -331,19 +381,16 @@ def load_cayley_table(text: str) -> FiniteGroup:
     if len(lines) < n + 1:
         raise GroupError(f"expected {n} table rows, found {len(lines) - 1}")
 
+    index = {str(v): v for v in range(n)}.__getitem__
     table = []
     for i in range(n):
         parts = lines[1 + i].split()
         if len(parts) != n:
             raise GroupError(f"line {i + 2}: expected {n} entries, got {len(parts)}")
         try:
-            row = [int(v) for v in parts]
-        except ValueError:
-            raise GroupError(f"line {i + 2}: non-integer entry") from None
-        for v in row:
-            if not 0 <= v < n:
-                raise GroupError(f"line {i + 2}: entry {v} out of range 0..{n - 1}")
-        table.append(tuple(row))
+            table.append(tuple(map(index, parts)))
+        except KeyError:
+            table.append(_parse_row(parts, n, i + 2))
 
     labels = [str(i) for i in range(n)]
     for extra_no, ln in enumerate(lines[n + 1:], start=n + 2):

@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
-from powg import telephone_number
+from conftest import cayley_text, oracle_groups
+from powg import element_order, telephone_number
 from powg.cli import main
 from powg.report import jsonable, strip_timings
 
@@ -194,3 +196,28 @@ def test_unwritable_output_is_invalid_input(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err == f"powg: invalid input: cannot write {missing}: No such file or directory\n"
     assert not missing.parent.exists()
+
+
+def test_group_info_histogram_matches_element_orders(tmp_path, capsys):
+    for i, g in enumerate(oracle_groups()):
+        path = tmp_path / f"g{i}.txt"
+        path.write_text(cayley_text(g), encoding="utf-8")
+        assert main(["group", "--cayley", str(path), "info"]) == 0
+        hist = Counter(element_order(g, x) for x in g.elements())
+        expected = " ".join(f"{t}:{c}" for t, c in sorted(hist.items()))
+        assert capsys.readouterr().out == f"order: {g.order}\nelement orders: {expected}\n", i
+
+
+def test_cayley_file_with_byte_order_mark(tmp_path, capsys):
+    text = "4\r\n0 1 2 3\r\n1 2 3 0\r\n2 3 0 1\r\n3 0 1 2\r\nlabel 0 e\r\n"
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    for argv in (["group", "--cayley", "{}", "info"],
+                 ["invariant", "hosoya", "--cayley", "{}"],
+                 ["graph", "--cayley", "{}", "--format", "dot"]):
+        outs = []
+        for path in (plain, marked):
+            assert main([a.format(path) for a in argv]) == 0
+            outs.append(capsys.readouterr())
+        assert outs[0] == outs[1] and outs[0].err == "", argv

@@ -8,11 +8,13 @@ from powg import (
     build_cyclic,
     build_family,
     cyclic_subgroup,
+    cyclic_subgroups,
     element_order,
     load_cayley_table,
     partition,
 )
 from powg.groups import MAX_ORDER
+from conftest import cayley_text, oracle_groups, rows_text
 
 # a magma with identity 0 in which 1 * 1 = 1, so no power of 1 is e
 NON_GROUP = FiniteGroup(2, ((0, 1), (1, 1)), ("0", "1"))
@@ -113,6 +115,21 @@ def test_cyclic_subgroup_stops_on_non_group_table():
         cyclic_subgroup(NON_GROUP, 1)
 
 
+def test_cyclic_subgroups_walk_each_subgroup_once():
+    for g in oracle_groups():
+        generated = []
+        for powers, generators in cyclic_subgroups(g):
+            x = powers[0]
+            assert powers == [g.power(x, t) for t in range(1, len(powers) + 1)]
+            sub = cyclic_subgroup(g, x)
+            assert set(powers) == sub and len(powers) == len(sub)
+            assert generators == [y for y in powers if cyclic_subgroup(g, y) == sub]
+            generated += generators
+        assert sorted(generated) == list(g.elements()), g.order
+    with pytest.raises(GroupError, match="powers of element 1 never reach the identity"):
+        list(cyclic_subgroups(NON_GROUP))
+
+
 @pytest.mark.parametrize("k,p,sizes", [(2, 3, (2, 10, 6, 6)), (2, 5, (2, 18, 10, 10))])
 def test_partition_sizes(k, p, sizes):
     g = family(k, p)
@@ -175,14 +192,6 @@ def test_h2_order_two_and_h3_order_four(k, p):
     sizes = part.sizes()
     assert sizes == (2, FamilyParams(k, p).n_r - 2,
                      FamilyParams(k, p).half, FamilyParams(k, p).half)
-
-
-def rows_text(rows) -> str:
-    return "\n".join([str(len(rows))] + [" ".join(map(str, r)) for r in rows]) + "\n"
-
-
-def cayley_text(g) -> str:
-    return rows_text(g.table)
 
 
 def test_cayley_roundtrip_z4():
@@ -285,3 +294,32 @@ def test_cayley_parse_errors():
         load_cayley_table("2\n0 7\n1 0\n")       # entry out of range
     with pytest.raises(GroupError):
         load_cayley_table("2\n0 x\n1 0\n")       # non-integer
+
+
+@pytest.mark.parametrize("text,message", [
+    ("2\n0 1\n-1 0\n", "line 3: entry -1 out of range 0..1"),
+    ("2\n0 2\n1 0\n", "line 2: entry 2 out of range 0..1"),
+    ("3\n0 1 2\n1 2 0\n2 0 3\n", "line 4: entry 3 out of range 0..2"),
+    ("2\n0 1\nx 0\n", "line 3: non-integer entry"),
+    ("2\n0 1.0\n1 0\n", "line 2: non-integer entry"),
+    # the whole row is read before its range is checked
+    ("2\n0 1\n5 x\n", "line 3: non-integer entry"),
+    ("3\n0 1 2\n1 0 2\n2 0 1\n", "element 2 has no left inverse"),
+    ("3\n0 1 2\n1 0 0\n2 2 1\n", "element 2 has no right inverse"),
+    # elements in index order, the right inverse before the left one
+    ("3\n0 1 2\n1 1 0\n2 2 1\n", "element 1 has no left inverse"),
+    ("3\n0 1 2\n1 1 2\n2 2 0\n", "element 1 has no right inverse"),
+])
+def test_cayley_error_messages_are_pinned(text, message):
+    with pytest.raises(GroupError) as exc:
+        load_cayley_table(text)
+    assert str(exc.value) == message
+
+
+def test_cayley_non_canonical_spellings_load_as_canonical():
+    canonical = load_cayley_table("3\n0 1 2\n1 2 0\n2 0 1\nlabel 1 a\n")
+    for text in ("3\n0 01 2\n+1 2 00\n2 -0 0_1\nlabel 1 a\n",
+                 "3\n00 +1 02\n1 2 0\n2 0 1\nlabel 01 a\n"):
+        g = load_cayley_table(text)
+        assert (g.order, g.table, g.labels) == (canonical.order, canonical.table,
+                                                canonical.labels)
