@@ -99,19 +99,25 @@ class DistanceProfile:
 
     def rs_polynomial(self) -> RationalExponentPolynomial:
         """Sum of x^(rs(v) + rs(w)) over all edges vw; graph must be connected.
-        Summed on the integer scale lcm(1..diam): one Fraction per exponent."""
+        Summed on the integer scale lcm(1..diam): one Fraction per exponent.
+        The vertices fall into classes of equal status; the edges between two
+        classes are counted by ANDing one class's mask into the adjacency
+        rows of the other, one C-level pass per class pair."""
         if any(sum(sizes) != self.graph.n for sizes in self.layers):
             raise ValueError("graph is disconnected: reciprocal status is undefined")
         scale = math.lcm(*range(1, max(map(len, self.layers), default=1)))
         rs = [sum(c * (scale // d) for d, c in enumerate(sizes) if d) for sizes in self.layers]
-        groups: dict[int, int] = {}  # rs value -> mask of the vertices that have it
-        for v, value in enumerate(rs):
-            groups[value] = groups.get(value, 0) | 1 << v
+        masks: dict[int, int] = {}  # rs value -> mask of the vertices that have it
+        rows: dict[int, list[int]] = {}  # rs value -> adjacency rows of those vertices
+        for v, (value, row) in enumerate(zip(rs, self.graph.adj)):
+            masks[value] = masks.get(value, 0) | 1 << v
+            rows.setdefault(value, []).append(row)
         terms: Counter = Counter()  # every edge is seen from both ends
-        for row, value in zip(self.graph.adj, rs):
-            for other, mask in groups.items():
-                terms[value + other] += (row & mask).bit_count()
-        return RationalExponentPolynomial({Fraction(e, scale): c // 2 for e, c in terms.items() if c})
+        for value, class_rows in rows.items():
+            for other, mask in masks.items():
+                terms[value + other] += sum(map(int.bit_count, map(mask.__and__, class_rows)))
+        return RationalExponentPolynomial(  # descending already, so the sort is one pass
+            {Fraction(e, scale): c // 2 for e, c in sorted(terms.items(), reverse=True) if c})
 
 
 def distance_profile(graph: Graph) -> DistanceProfile:

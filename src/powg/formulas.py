@@ -20,8 +20,9 @@ a note; values are never rounded or silently repaired.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .distance import RationalExponentPolynomial
@@ -142,7 +143,9 @@ def _family_counts(params: FamilyParams, mode: str) -> dict[str, Callable[[int],
     T(m) is the tabled K_m row and B(l) the row of C(l, j); both have index 0
     set to 0, so each nested sum over j of T(m, j) C(l, i - j) with j >= 1 and
     i - j >= 1 is coefficient i of their convolution, taken once per case.
-    Indexing past the end of a row reads 0: K_m hosts at most m // 2 edges.
+    Four rows are convolved; the rows of m12 and m11_p follow from those of
+    m11_n and m11_q by Pascal's rule (_pascal_step).  Indexing past the end
+    of a row reads 0: K_m hosts at most m // 2 edges.
     """
     n, half, quarter = params.n_r, params.half, params.quarter
     t_n, t_n1, t_n2 = ([0, *_k_n_row(m, mode)[1:]] for m in (n, n - 1, n - 2))
@@ -155,9 +158,9 @@ def _family_counts(params: FamilyParams, mode: str) -> dict[str, Callable[[int],
 
     m6 = conv(t_n, quarter, quarter + 1)
     m11_n = conv(t_n1, quarter - 1, quarter)
-    m11_p = conv(t_n2, quarter - 1, quarter)
     m11_q = conv(t_n2, quarter - 2, quarter - 1)
-    m12 = conv(t_n1, quarter, quarter + 1)
+    m11_p = _pascal_step(m11_q, t_n2)  # conv(t_n2, quarter - 1, quarter)
+    m12 = _pascal_step(m11_n, t_n1)  # conv(t_n1, quarter, quarter + 1)
     # printed as C(2^k p - 1, m) but cut off beyond quarter - 1
     m15 = conv(t_n2, n - 1, quarter)
     pairs = half * (half - 1) // 2
@@ -189,11 +192,20 @@ def _family_counts(params: FamilyParams, mode: str) -> dict[str, Callable[[int],
     }
 
 
-def _term(family: str, i: int, count: int) -> MatchingFamilyTerm:
-    note = None
-    if (family, i) == ("M5", 2):
-        note = "second summand undefined as displayed at order 2 (1/(i-2) factor); contributed 0"
-    return MatchingFamilyTerm(family, i, count, note)
+def _pascal_step(row: list[int], t_row: list[int]) -> list[int]:
+    """conv(T, B(l + 1)) from row = conv(T, B(l)), where B(l) is the full
+    binomial row with index 0 set to 0: C(l + 1, j) = C(l, j) + C(l, j - 1)
+    gives conv(T, B(l + 1)) = row + x (row + T)."""
+    shifted = [0, *row]
+    for i, t in enumerate(t_row, 1):
+        shifted[i] += t
+    return list(map(operator.add, shifted, [*row, 0]))
+
+
+# the one term with a note: M5 at order 2, where T(n-2)[0] = 0 stands in for
+# the second summand
+M5_ORDER_2_NOTE = \
+    "second summand undefined as displayed at order 2 (1/(i-2) factor); contributed 0"
 
 
 def family_orders(family: str, k: int, p: int) -> list[int]:
@@ -215,7 +227,8 @@ def eval_matching_family(family: str, i: int, k: int, p: int,
     params = FamilyParams(k, p)
     if i not in family_orders(family, k, p):
         raise ValueError(f"order {i} outside the stated range of {family} at (k={k}, p={p})")
-    return _term(family, i, _family_counts(params, mode)[family](i))
+    note = M5_ORDER_2_NOTE if (family, i) == ("M5", 2) else None
+    return MatchingFamilyTerm(family, i, _family_counts(params, mode)[family](i), note)
 
 
 def paper_hosoya_index(k: int, p: int, mode: str = "printed"
@@ -226,8 +239,10 @@ def paper_hosoya_index(k: int, p: int, mode: str = "printed"
     _check_mode(mode)
     params = FamilyParams(k, p)
     ranges, counts = _family_ranges(params), _family_counts(params, mode)
-    terms = [_term(family, i, counts[family](i))
+    terms = [MatchingFamilyTerm(family, i, counts[family](i))
              for family in FAMILY_TAGS for i in ranges[family]]
+    m5 = sum(len(ranges[family]) for family in FAMILY_TAGS[:4])  # M5 starts at order 2
+    terms[m5] = replace(terms[m5], note=M5_ORDER_2_NOTE)
     total = 1 + sum(t.count for t in terms)
     return total, terms
 

@@ -99,7 +99,10 @@ def _degree_block(graph, part):
     }
 
 
-def _diff_rows(oracle, paper_by_mode, part):
+def _diff_rows(oracle, paper_by_mode, part, rs_polys):
+    """Diff rows of one case.  rs_polys holds the reciprocal-status
+    polynomials of the oracle and of each mode; their Fraction exponents
+    order the rs_hosoya rows."""
     diffs = []
 
     def add(invariant, location, oval, pval, mode):
@@ -119,10 +122,13 @@ def _diff_rows(oracle, paper_by_mode, part):
         if ov != pv:
             add("hosoya_polynomial", f"dis{i}", ov, pv, "both")
 
+    o_terms = oracle["rs_hosoya_terms"]
+    o_exps = dict(zip(o_terms, rs_polys["oracle"].terms))  # exponent text -> Fraction
     for mode in ("printed", "corrected"):
-        o_terms = oracle["rs_hosoya_terms"]
         p_terms = paper_by_mode[mode]["rs_hosoya_terms"]
-        for exp in sorted(set(o_terms) | set(p_terms), key=Fraction, reverse=True):
+        exps = o_exps | dict(zip(p_terms, rs_polys[mode].terms))
+        # two descending runs, which the sort merges
+        for exp in sorted(exps, key=exps.__getitem__, reverse=True):
             ov, pv = o_terms.get(exp, 0), p_terms.get(exp, 0)
             if ov != pv:
                 add("rs_hosoya", f"x^{exp}", ov, pv, mode)
@@ -219,13 +225,19 @@ def compare(k: int, p: int, *, include_index: bool = True,
 
     t0 = time.perf_counter()
     paper_by_mode = {}
+    rs_polys = {"oracle": rs_poly}
+    # the same in both modes: the two mode blocks share these objects
+    coeffs = list(paper_hosoya_coeffs(k, p))
+    degrees = paper_degree_claims(k, p)
+    kinds = paper_edge_type_counts(k, p)
     for mode in ("printed", "corrected"):
         total, terms = paper_hosoya_index(k, p, mode)
+        rs_polys[mode] = paper_rs_hosoya(k, p, mode)
         paper_by_mode[mode] = {
-            "hosoya_coefficients": list(paper_hosoya_coeffs(k, p)),
-            "rs_hosoya_terms": paper_rs_hosoya(k, p, mode).term_strings(),
-            "degrees": paper_degree_claims(k, p),
-            "edge_kind_counts": paper_edge_type_counts(k, p),
+            "hosoya_coefficients": coeffs,
+            "rs_hosoya_terms": rs_polys[mode].term_strings(),
+            "degrees": degrees,
+            "edge_kind_counts": kinds,
             "hosoya_index": {
                 "total": total,
                 "families": [
@@ -237,7 +249,7 @@ def compare(k: int, p: int, *, include_index: bool = True,
         }
     timings["formulas"] = time.perf_counter() - t0
 
-    diffs = _diff_rows(oracle, paper_by_mode, part)
+    diffs = _diff_rows(oracle, paper_by_mode, part, rs_polys)
 
     return {
         "case": {"family": "sdl", "k": k, "p": p, "order": params.order},
@@ -272,51 +284,122 @@ def verify_cases(ks, ps, *, skip_index_above: int = DEFAULT_SKIP_INDEX_ABOVE,
 def render_report(doc: dict) -> str:
     """Deterministic JSON rendering (timings vary run to run, nothing else).
 
-    One pass converts and encodes: the text is byte-identical to
-    json.dumps(jsonable(doc), sort_keys=True, indent=2) + "\\n", which the
-    tests keep as the oracle, without building the converted copy and
-    without the pure-Python encoder that json uses whenever indent is set.
+    The text is byte-identical to json.dumps(jsonable(doc), sort_keys=True,
+    indent=2) + "\\n", which the tests keep as the oracle, without building
+    the converted copy and without the pure-Python encoder that json uses
+    whenever indent is set.  It streams into one chunk list, joined once.
+
+    A dict is written as a list of one row.  A list of plain dicts that share
+    one str-key insertion order, such as the family table, is written column
+    by column: an all-str column is escaped by one map, an all-int column is
+    converted by one map (ints beyond 2^53 are then quoted), and the rows come
+    from one %-template per (key order, indentation).  The templates live in
+    this call only: rs_hosoya_terms has different keys in every case.
     """
     chunks: list[str] = []
-    _write(doc, "\n", chunks.append)
-    chunks.append("\n")
+    out = chunks.append
+    layouts: dict[tuple, tuple[list[str], str]] = {}
+
+    def layout(keys: tuple, newline: str) -> tuple[list[str], str]:
+        """The key heads of a dict at this indentation and its row template."""
+        found = layouts.get((keys, newline))
+        if found is None:
+            inner = newline + "  "
+            heads = ["," + inner + _encode_str(key) + ": " for key in keys]
+            heads[0] = "{" + heads[0][1:]
+            template = "".join(head.replace("%", "%%") + "%s" for head in heads) + newline + "}"
+            found = layouts[keys, newline] = heads, template
+        return found
+
+    def write_rows(rows, keys: tuple, newline: str) -> None:
+        """Append dicts that share the sorted str keys, one per line break."""
+        heads, template = layout(keys, newline)
+        columns = [_column_texts(list(map(operator.itemgetter(key), rows))) for key in keys]
+        separator = "," + newline
+        if not any(None in column for column in columns):
+            out(separator.join(map(template.__mod__, zip(*columns))))
+            return
+        inner = newline + "  "  # a container cell: write the rows piece by piece
+        for n, (row, texts) in enumerate(zip(rows, zip(*columns))):
+            if n:
+                out(separator)
+            for head, key, text in zip(heads, keys, texts):
+                out(head)
+                if text is None:
+                    write(row[key], inner)
+                else:
+                    out(text)
+            out(newline + "}")
+
+    def write(value, newline: str) -> None:
+        """Append the JSON text of value; newline is the line break plus the
+        indentation of the line that holds value."""
+        if isinstance(value, dict):
+            if not value:
+                out("{}")
+                return
+            if not all(type(key) is str for key in value):
+                value = jsonable(value)  # str() keys; a collision keeps the last value
+            write_rows([value], tuple(sorted(value)), newline)
+            return
+        if not isinstance(value, (list, tuple)):
+            out(_scalar_text(value))
+            return
+        if not value:
+            out("[]")
+            return
+        inner = newline + "  "
+        keys = _record_keys(value)
+        if keys:
+            out("[" + inner)
+            write_rows(value, keys, inner)
+            out(newline + "]")
+            return
+        texts = list(map(_scalar_text, value))
+        if None not in texts:  # all scalars: the whole list is one string
+            out("[" + inner + ("," + inner).join(texts) + newline + "]")
+            return
+        separator = "[" + inner
+        for item, text in zip(value, texts):
+            out(separator)
+            if text is None:
+                write(item, inner)
+            else:
+                out(text)
+            separator = "," + inner
+        out(newline + "]")
+
+    write(doc, "\n")
+    out("\n")
     return "".join(chunks)
 
 
-def _write(value, newline: str, out) -> None:
-    """Append the JSON text of value to out; newline is the line break plus
-    the indentation of the line that holds value."""
-    if isinstance(value, dict):
-        if not all(type(key) is str for key in value):
-            value = jsonable(value)  # str() keys; a collision keeps the last value
-        keys = sorted(value)
-        heads = [_encode_str(key) + ": " for key in keys]
-        items = [value[key] for key in keys]
-        opener, closer = "{", "}"
-    elif isinstance(value, (list, tuple)):
-        heads, items = [""] * len(value), value
-        opener, closer = "[", "]"
-    else:
-        out(_scalar_text(value))
-        return
-    if not items:
-        out(opener + closer)
-        return
-    inner = newline + "  "
-    texts = [_scalar_text(item) for item in items]
-    if None not in texts:  # all scalars: the whole container is one string
-        out(opener + inner + ("," + inner).join(map(operator.add, heads, texts))
-            + newline + closer)
-        return
-    separator = opener + inner
-    for head, item, text in zip(heads, items, texts):
-        out(separator + head)
-        if text is None:
-            _write(item, inner, out)
-        else:
-            out(text)
-        separator = "," + inner
-    out(newline + closer)
+def _record_keys(items) -> tuple | None:
+    """Sorted keys of a list of plain dicts that share one non-empty str-key
+    insertion order, or None for any other list."""
+    if type(items[0]) is not dict or set(map(type, items)) != {dict}:
+        return None
+    orders = set(map(tuple, items))
+    if len(orders) != 1:
+        return None
+    (order,) = orders
+    if not order or not all(type(key) is str for key in order):
+        return None
+    return tuple(sorted(order))
+
+
+def _column_texts(values: list) -> list:
+    """JSON texts of one column of values, None for a container."""
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        return list(map(_encode_str, values))
+    if kinds == {int}:
+        texts = list(map(int.__repr__, values))
+        if max(values) > JSON_SAFE_INT or min(values) < -JSON_SAFE_INT:
+            texts = [text if -JSON_SAFE_INT <= value <= JSON_SAFE_INT else '"' + text + '"'
+                     for value, text in zip(values, texts)]
+        return texts
+    return list(map(_scalar_text, values))
 
 
 def _scalar_text(value) -> str | None:

@@ -20,8 +20,15 @@ from powg import (
     paper_hosoya_index,
     paper_rs_hosoya,
 )
-from powg.formulas import FAMILY_TAGS, _chain_matchings, family_matching_polynomial
-from powg.groups import _is_odd_prime
+from powg.formulas import (
+    FAMILY_TAGS,
+    MODES,
+    _chain_matchings,
+    _pascal_step,
+    family_matching_polynomial,
+)
+from powg.groups import MAX_ORDER, _is_odd_prime
+from powg.matching import _convolve, _k_n_row
 
 
 def test_hosoya_coeffs():
@@ -212,6 +219,45 @@ def _family_graph(k, p):
 SMALL_CASES = [(k, p) for k in range(2, 8) for p in range(3, 80, 2)
                if _is_odd_prime(p) and (2 << k) * p <= 160]
 LADDER = [(k, p) for k in range(2, 7) for p in (3, 5, 7)]
+
+
+def family_table_digest(cases) -> str:
+    """sha256 over a "k p mode total" line and then one "family order count
+    note" line per term of paper_hosoya_index, for every case in both modes."""
+    digest = hashlib.sha256()
+    for k, p in cases:
+        for mode in MODES:
+            total, terms = paper_hosoya_index(k, p, mode)
+            digest.update(f"{k} {p} {mode} {total}\n".encode("utf-8"))
+            for t in terms:
+                digest.update(f"{t.family} {t.order} {t.count} {t.note}\n".encode("utf-8"))
+    return digest.hexdigest()
+
+
+# recorded from the six-convolution table, before m12 and m11_p were derived
+# by Pascal's rule; CI checks FULL_TABLE_SHA256 over every valid order
+LADDER_TABLE_SHA256 = "b796015716b7486d2f97daa034d6a62288ab8b784148b97a07798b31549c86a3"
+FULL_TABLE_SHA256 = "88b43622f7c7b731bf279c7d9a06d367558507878dc9ba7a7cc80c3bb913f675"
+VALID_CASES = [(k, p) for k in range(2, 10) for p in range(3, 257, 2)
+               if _is_odd_prime(p) and (2 << k) * p <= MAX_ORDER]
+
+
+def test_family_table_pinned_on_the_ladder():
+    assert len(VALID_CASES) == 66
+    assert family_table_digest(LADDER) == LADDER_TABLE_SHA256
+
+
+@pytest.mark.parametrize("k,p", LADDER)
+def test_pascal_rows_equal_direct_convolutions(k, p):
+    # the pairs _family_counts derives: m12 from m11_n over T(n-1), and
+    # m11_p from m11_q over T(n-2)
+    params = FamilyParams(k, p)
+    for mode in MODES:
+        for m, top in ((params.n_r - 1, params.quarter - 1), (params.n_r - 2, params.quarter - 2)):
+            t_row = [0, *_k_n_row(m, mode)[1:]]
+            row = _convolve(t_row, [0] + [math.comb(top, j) for j in range(1, top + 1)])
+            direct = _convolve(t_row, [0] + [math.comb(top + 1, j) for j in range(1, top + 2)])
+            assert _pascal_step(row, t_row) == direct, (m, top, mode)
 
 
 def test_arithmetic_count_equals_the_engine_up_to_order_160():

@@ -79,8 +79,67 @@ def test_render_report_fixed_documents_match_json_oracle():
     assert json.loads(render_report(collide))["1"] == "str"  # the last value wins
     empties = {"d": {}, "l": [], "t": (), "nested": [[], {}, ((),), {"x": {}}]}
     assert render_report(empties) == json_oracle(empties)
+    # record lists on the column path: quoting edges, bool beside int, % keys
+    records = [[{"n": JSON_SAFE_INT + 1}, {"n": JSON_SAFE_INT}],
+               [{"n": -JSON_SAFE_INT - 1}, {"n": -JSON_SAFE_INT}],
+               [{"n": True}, {"n": 1}], [{"%s": 1, "%(a)s": "%"}, {"%s": 2, "%(a)s": "%%"}],
+               [{"a": [1, {"b": 2}], "c": None}, {"a": 3, "c": "x"}], [{}, {}]]
+    assert render_report(records) == json_oracle(records)
     doc = verify_cases([2, 3], [3], skip_index_above=24)
     assert isinstance(doc["timings"]["total"], float)
+    assert render_report(doc) == json_oracle(doc)
+
+
+# keys that a %-template must escape, non-ASCII keys, and "1", which collides
+# with the int key 1 once keys are converted
+record_keys = st.sampled_from(["%", "%s", "%%", "%(a)s", "a%d", "é", "\u2028", "1", "count"])
+column_kinds = st.sampled_from([
+    st.integers(),
+    # no value beyond the edges, so the extreme of the column sits on one
+    st.sampled_from([JSON_SAFE_INT, -JSON_SAFE_INT, JSON_SAFE_INT + 1, -JSON_SAFE_INT - 1, 0]),
+    st.one_of(st.integers(min_value=-2, max_value=2), st.booleans()),
+    st.booleans(),
+    st.text(max_size=3, alphabet='a%"é\x00\u2028'),
+    st.one_of(st.none(), st.text(max_size=2, alphabet="a%é")),
+    st.one_of(st.sampled_from([0.5, -0.0, float("nan"), float("inf")]),
+              st.builds(Fraction, st.integers(min_value=-5, max_value=5),
+                        st.integers(min_value=1, max_value=3))),
+    documents,
+])
+
+
+@st.composite
+def record_lists(draw):
+    """0 to 6 dicts that share one key set, each column drawn from one kind.
+    Some lists mix in a second insertion order, some share a non-str key, and
+    in some a dict gains a key of its own."""
+    keys = draw(st.lists(record_keys, min_size=1, max_size=4, unique=True))
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        keys.insert(draw(st.integers(min_value=0, max_value=len(keys))),
+                    draw(st.sampled_from([1, -1, Fraction(1, 2)])))
+    kinds = [draw(column_kinds) for _ in keys]
+    other_order = draw(st.permutations(keys))
+    mix_orders, extra_keys = (draw(st.integers(min_value=0, max_value=3)) == 0
+                              for _ in range(2))
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        row = {key: draw(kind) for key, kind in zip(keys, kinds)}
+        if mix_orders and draw(st.booleans()):
+            row = {key: row[key] for key in other_order}
+        if extra_keys and draw(st.booleans()):
+            row[draw(st.sampled_from([0, "zz"]))] = draw(scalars)
+        rows.append(row)
+    return draw(st.sampled_from([rows, tuple(rows), {"rows": rows}, [rows[:1], {"x": rows}]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(record_lists())
+def test_render_report_record_lists_match_json_oracle(doc):
+    assert render_report(doc) == json_oracle(doc)
+
+
+def test_render_report_ladder_matches_json_oracle():
+    doc = strip_timings(verify_cases([2, 3, 4, 5, 6], [3, 5, 7], skip_index_above=24))
     assert render_report(doc) == json_oracle(doc)
 
 
