@@ -51,9 +51,6 @@ from .matching import (
     telephone_number,
 )
 from .formulas import (
-    MatchingFamilyTerm,
-    eval_matching_family,
-    family_orders,
     paper_degree_claims,
     paper_edge_type_counts,
     paper_hosoya_coeffs,

@@ -30,7 +30,7 @@ from .formulas import (
 from .graphs import build_power_graph, export
 from .groups import FamilyParams, FiniteGroup, GroupError, build_cyclic, build_family, \
     cyclic_subgroups, load_cayley_table, partition
-from .matching import DEFAULT_MEMO_LIMIT, MatchingLimitError, matching_polynomial
+from .matching import MatchingLimitError, matching_polynomial
 from .report import DEFAULT_SKIP_INDEX_ABOVE, CrossCheckError, render_report, verify_cases
 
 EXIT_OK = 0
@@ -193,11 +193,11 @@ def _cmd_paper(args) -> int:
             print(f"{kind}={c}")
         print(f"total={sum(counts.values())}")
     else:  # index
-        total, terms = paper_hosoya_index(k, p, mode)
+        total, rows = paper_hosoya_index(k, p, mode)
         print(f"total={total}")
-        for t in terms:
-            suffix = f"  # {t.note}" if t.note else ""
-            print(f"{t.family}[{t.order}]={t.count}{suffix}")
+        for row in rows:
+            suffix = f"  # {row['note']}" if row["note"] else ""
+            print(f"{row['family']}[{row['order']}]={row['count']}{suffix}")
     return EXIT_OK
 
 
@@ -206,8 +206,7 @@ def _cmd_verify(args) -> int:
     ps = _parse_int_list(args.p)
     if not ks or not ps:
         raise UsageError("--k and --p must list at least one value each")
-    doc = verify_cases(ks, ps, skip_index_above=args.skip_index_above,
-                       memo_limit=DEFAULT_MEMO_LIMIT)
+    doc = verify_cases(ks, ps, skip_index_above=args.skip_index_above)
     _emit(render_report(doc), args.out)
     return EXIT_OK
 

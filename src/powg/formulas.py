@@ -13,8 +13,8 @@ Every evaluator takes a mode:
   becomes 3*2^k p - 1.
 
 Where a displayed formula is undefined at a requested order (the 1/(i-2)
-factor at i = 2), the summand contributes zero and the returned term carries
-a note; values are never rounded or silently repaired.
+factor at i = 2), the summand contributes zero and the row's note says so;
+values are never rounded or silently repaired.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Callable
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .distance import RationalExponentPolynomial
@@ -37,16 +36,6 @@ FAMILY_TAGS = tuple(f"M{j}" for j in range(1, 16))
 def _check_mode(mode: str) -> None:
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r} (expected 'printed' or 'corrected')")
-
-
-@dataclass(frozen=True)
-class MatchingFamilyTerm:
-    """One per-family, per-order count in the matching-count assembly."""
-
-    family: str
-    order: int
-    count: int
-    note: str | None = None
 
 
 def paper_hosoya_coeffs(k: int, p: int) -> tuple[int, int, int]:
@@ -170,7 +159,7 @@ def _family_counts(params: FamilyParams, mode: str) -> dict[str, Callable[[int],
         "M3": lambda i: n if i == 1 else half * (half - 1),
         "M4": lambda i: math.comb(quarter, i),
         # the second summand's 1/(i-2) factor is undefined at i = 2, where
-        # T(n-2)[0] = 0 makes it contribute 0 (the term carries a note)
+        # T(n-2)[0] = 0 makes it contribute 0 (the row carries a note)
         "M5": lambda i: n * at(t_n1, i - 1) + pairs * t_n2[i - 2],
         "M6": lambda i: m6[i],
         "M7": lambda i: n * (quarter - 1) if i == 2 else (
@@ -202,49 +191,27 @@ def _pascal_step(row: list[int], t_row: list[int]) -> list[int]:
     return list(map(operator.add, shifted, [*row, 0]))
 
 
-# the one term with a note: M5 at order 2, where T(n-2)[0] = 0 stands in for
+# the one row with a note: M5 at order 2, where T(n-2)[0] = 0 stands in for
 # the second summand
 M5_ORDER_2_NOTE = \
     "second summand undefined as displayed at order 2 (1/(i-2) factor); contributed 0"
 
 
-def family_orders(family: str, k: int, p: int) -> list[int]:
-    """The orders the assembly sums for one family, per the stated ranges."""
-    r = _family_ranges(FamilyParams(k, p)).get(family)
-    if r is None:
-        raise ValueError(f"unknown matching family {family!r}")
-    return list(r)
-
-
-def eval_matching_family(family: str, i: int, k: int, p: int,
-                         mode: str = "printed") -> MatchingFamilyTerm:
-    """Evaluate one family count M_family^i exactly as displayed.
-
-    Raises ValueError when (family, i) falls outside the stated summation
-    range for these parameters.
-    """
-    _check_mode(mode)
-    params = FamilyParams(k, p)
-    if i not in family_orders(family, k, p):
-        raise ValueError(f"order {i} outside the stated range of {family} at (k={k}, p={p})")
-    note = M5_ORDER_2_NOTE if (family, i) == ("M5", 2) else None
-    return MatchingFamilyTerm(family, i, _family_counts(params, mode)[family](i), note)
-
-
-def paper_hosoya_index(k: int, p: int, mode: str = "printed"
-                       ) -> tuple[int, list[MatchingFamilyTerm]]:
+def paper_hosoya_index(k: int, p: int, mode: str = "printed") -> tuple[int, list[dict]]:
     """Assemble the published total matching count: 1 plus the sum of every
-    family term over the stated ranges.  Returns the total and the full
-    per-term breakdown."""
+    family count over the stated ranges.  Returns the total and one row per
+    (family, order), the family table as the report writes it: a dict with
+    the keys "family", "order", "count" and "note" (None except on M5 at
+    order 2), in that order."""
     _check_mode(mode)
     params = FamilyParams(k, p)
     ranges, counts = _family_ranges(params), _family_counts(params, mode)
-    terms = [MatchingFamilyTerm(family, i, counts[family](i))
-             for family in FAMILY_TAGS for i in ranges[family]]
+    rows = [{"family": family, "order": i, "count": counts[family](i), "note": None}
+            for family in FAMILY_TAGS for i in ranges[family]]
     m5 = sum(len(ranges[family]) for family in FAMILY_TAGS[:4])  # M5 starts at order 2
-    terms[m5] = replace(terms[m5], note=M5_ORDER_2_NOTE)
-    total = 1 + sum(t.count for t in terms)
-    return total, terms
+    rows[m5]["note"] = M5_ORDER_2_NOTE
+    total = 1 + sum(row["count"] for row in rows)
+    return total, rows
 
 
 def family_matching_polynomial(k: int, p: int) -> list[int]:

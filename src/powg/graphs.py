@@ -330,7 +330,7 @@ def export(graph: Graph, fmt: str = "dot") -> str:
             lines.append(f"  {q(graph.labels[u])} -- {q(graph.labels[v])};")
         lines.append("}")
         return "\n".join(lines) + "\n"
-    if fmt in ("edges", "edge-list"):
+    if fmt == "edges":
         lines = [str(v) for v in range(graph.n) if graph.degree(v) == 0]
         lines += [f"{u} {v}" for u, v in graph.edges()]
         return "\n".join(lines) + ("\n" if lines else "")

@@ -9,9 +9,11 @@ corrupt them.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import operator
 import time
+from collections import Counter
 from fractions import Fraction
 
 from . import __version__
@@ -68,12 +70,13 @@ def jsonable(value):
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _oracle_index(graph, memo_limit, k, p):
+def _oracle_index(graph, k, p):
     """Matching polynomial and engine_stats of the graph, from two
     structurally different computations that must agree: the decomposition
     engine runs on the graph, and the order-arithmetic count reads only
     (k, p)."""
-    engine = MatchingEngine(graph, memo_limit=memo_limit)
+    # named, not left to the default, so the cap is read when the run starts
+    engine = MatchingEngine(graph, memo_limit=DEFAULT_MEMO_LIMIT)
     coeffs = list(engine.run().coeffs)
     if family_matching_polynomial(k, p) != coeffs:
         raise CrossCheckError(f"the decomposition engine and the arithmetic count "
@@ -84,11 +87,7 @@ def _oracle_index(graph, memo_limit, k, p):
 
 def _degree_block(graph, part):
     def hist(vertices):
-        h: dict[int, int] = {}
-        for v in sorted(vertices):
-            d = graph.degree(v)
-            h[d] = h.get(d, 0) + 1
-        return dict(sorted(h.items()))
+        return dict(sorted(Counter(map(graph.degree, vertices)).items()))
 
     return {
         "e": graph.degree(0),
@@ -161,8 +160,7 @@ def _diff_rows(oracle, paper_by_mode, part, rs_polys):
     return diffs
 
 
-def compare(k: int, p: int, *, include_index: bool = True,
-            memo_limit: int = DEFAULT_MEMO_LIMIT) -> dict:
+def compare(k: int, p: int, *, include_index: bool = True) -> dict:
     """Oracle-vs-closed-form comparison for one (k, p) case.
 
     Returns the report fragment: case identity, oracle block, per-mode
@@ -192,7 +190,7 @@ def compare(k: int, p: int, *, include_index: bool = True,
     engine_stats = {"runs": [], "skipped": True}
     poly_val = index_val = None
     if include_index:
-        poly_val, engine_stats = _oracle_index(graph, memo_limit, k, p)
+        poly_val, engine_stats = _oracle_index(graph, k, p)
         index_val = sum(poly_val)
     timings["index"] = time.perf_counter() - t0
 
@@ -207,17 +205,7 @@ def compare(k: int, p: int, *, include_index: bool = True,
         "degrees": _degree_block(graph, part),
         "edge_kind_counts": klass.kind_counts(),
         "edge_pattern_counts": klass.pattern_counts(),
-        "structure_theorem": {
-            "edges_total": struct.edges_total,
-            "edges_in_r": struct.edges_in_r,
-            "pendant_count": struct.pendant_count,
-            "pair_edge_count": struct.pair_edge_count,
-            "cyclic_edge_count": struct.cyclic_edge_count,
-            "prefix_matches_cyclic": struct.prefix_matches_cyclic,
-            "cover_ok": struct.cover_ok,
-            "disjoint_ok": struct.disjoint_ok,
-            "count_identity_ok": struct.count_identity_ok,
-        },
+        "structure_theorem": dataclasses.asdict(struct),
         "matching_polynomial": poly_val,
         "hosoya_index": index_val,
         "index_skipped": not include_index,
@@ -231,21 +219,14 @@ def compare(k: int, p: int, *, include_index: bool = True,
     degrees = paper_degree_claims(k, p)
     kinds = paper_edge_type_counts(k, p)
     for mode in ("printed", "corrected"):
-        total, terms = paper_hosoya_index(k, p, mode)
+        total, rows = paper_hosoya_index(k, p, mode)
         rs_polys[mode] = paper_rs_hosoya(k, p, mode)
         paper_by_mode[mode] = {
             "hosoya_coefficients": coeffs,
             "rs_hosoya_terms": rs_polys[mode].term_strings(),
             "degrees": degrees,
             "edge_kind_counts": kinds,
-            "hosoya_index": {
-                "total": total,
-                "families": [
-                    {"family": t.family, "order": t.order, "count": t.count,
-                     "note": t.note}
-                    for t in terms
-                ],
-            },
+            "hosoya_index": {"total": total, "families": rows},
         }
     timings["formulas"] = time.perf_counter() - t0
 
@@ -261,8 +242,7 @@ def compare(k: int, p: int, *, include_index: bool = True,
     }
 
 
-def verify_cases(ks, ps, *, skip_index_above: int = DEFAULT_SKIP_INDEX_ABOVE,
-                 memo_limit: int = DEFAULT_MEMO_LIMIT) -> dict:
+def verify_cases(ks, ps, *, skip_index_above: int = DEFAULT_SKIP_INDEX_ABOVE) -> dict:
     """Run the comparison for every (k, p) in the cartesian product and
     assemble the verification document."""
     cases = []
@@ -271,8 +251,7 @@ def verify_cases(ks, ps, *, skip_index_above: int = DEFAULT_SKIP_INDEX_ABOVE,
         for p in ps:
             params = FamilyParams(k, p)
             include_index = params.order <= skip_index_above
-            cases.append(compare(k, p, include_index=include_index,
-                                 memo_limit=memo_limit))
+            cases.append(compare(k, p, include_index=include_index))
     return {
         "tool": "powg",
         "version": __version__,

@@ -1,7 +1,10 @@
+import hashlib
+import io
 import json
 import subprocess
 import sys
 from collections import Counter
+from contextlib import redirect_stdout
 
 import pytest
 
@@ -116,6 +119,29 @@ def test_paper_eval_outputs():
     assert res.returncode == 2
 
 
+def paper_index_digest(cases) -> str:
+    """sha256 of the concatenated stdout of `powg paper eval --which index`,
+    run in process for every case in printed and then corrected mode."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        for k, p in cases:
+            for mode in ("printed", "corrected"):
+                assert main(["paper", "eval", "--k", str(k), "--p", str(p),
+                             "--which", "index", "--mode", mode]) == 0
+    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
+# recorded from the frozen per-term printer, before paper_hosoya_index returned
+# the report's rows; CI checks PAPER_INDEX_FULL_SHA256 over every valid order
+PAPER_INDEX_LADDER_SHA256 = "e149b568bc145abec1bfaa975b92aaa3d684441fbb2ee884b160b26ec4884af0"
+PAPER_INDEX_FULL_SHA256 = "ae503b0f33347fde3dd10c34f6ccf2dbf44c11e7ffd07b0ffd6ad5bdf6a8c20d"
+
+
+def test_paper_eval_index_pinned_on_the_ladder():
+    ladder = [(k, p) for k in range(2, 7) for p in (3, 5, 7)]
+    assert paper_index_digest(ladder) == PAPER_INDEX_LADDER_SHA256
+
+
 def verify_doc(tmp_path, name, extra=(), env_dir=None):
     out = tmp_path / name
     env = None
@@ -168,9 +194,9 @@ def test_verify_deterministic_and_cache(tmp_path):
 
 
 def test_verify_resource_limit_exit_3(tmp_path, monkeypatch):
-    import powg.cli as cli_mod
-    monkeypatch.setattr(cli_mod, "DEFAULT_MEMO_LIMIT", 4)
-    rc = cli_mod.main(["verify", "--k", "2", "--p", "3", "--no-cache",
+    import powg.report as report_mod
+    monkeypatch.setattr(report_mod, "DEFAULT_MEMO_LIMIT", 4)
+    rc = main(["verify", "--k", "2", "--p", "3", "--no-cache",
                        "--out", str(tmp_path / "x.json")])
     assert rc == 3
 

@@ -12,8 +12,6 @@ from powg import (
     brute_force_matchings,
     build_family,
     build_power_graph,
-    eval_matching_family,
-    family_orders,
     paper_degree_claims,
     paper_edge_type_counts,
     paper_hosoya_coeffs,
@@ -92,69 +90,80 @@ def test_rs_modes_differ_only_on_pendant_term():
             assert printed.get(exp) == corrected.get(exp)
 
 
+def family_rows(k, p, mode="printed"):
+    """The family table of paper_hosoya_index keyed by (family, order)."""
+    return {(row["family"], row["order"]): row for row in paper_hosoya_index(k, p, mode)[1]}
+
+
+def family_count(family, i, k, p, mode="printed"):
+    return family_rows(k, p, mode)[family, i]["count"]
+
+
+def family_orders(family, k, p):
+    return [i for fam, i in family_rows(k, p) if fam == family]
+
+
 def test_family_term_examples():
-    assert eval_matching_family("M2", 1, 2, 3).count == 6
-    assert eval_matching_family("M3", 1, 2, 3).count == 12
-    assert eval_matching_family("M3", 2, 2, 3).count == 30
-    assert eval_matching_family("M4", 2, 2, 3).count == 3
-    assert eval_matching_family("M7", 2, 2, 3).count == 24
-    assert eval_matching_family("M9", 2, 2, 3).count == 36
-    assert eval_matching_family("M10", 2, 2, 3).count == 18
+    assert family_count("M2", 1, 2, 3) == 6
+    assert family_count("M3", 1, 2, 3) == 12
+    assert family_count("M3", 2, 2, 3) == 30
+    assert family_count("M4", 2, 2, 3) == 3
+    assert family_count("M7", 2, 2, 3) == 24
+    assert family_count("M9", 2, 2, 3) == 36
+    assert family_count("M10", 2, 2, 3) == 18
 
 
 def test_family_terms_hand_checked():
     # spot values computed by hand from the displayed formulas at (2, 3)
-    assert eval_matching_family("M1", 1, 2, 3).count == 66
-    assert eval_matching_family("M1", 2, 2, 3).count == 1485
-    assert eval_matching_family("M1", 3, 2, 3, "printed").count == 27720
-    assert eval_matching_family("M1", 3, 2, 3, "corrected").count == 13860
-    assert eval_matching_family("M5", 3, 2, 3).count == 12 * 990 + 15 * 45
-    assert eval_matching_family("M6", 2, 2, 3).count == 66 * 3
-    assert eval_matching_family("M8", 2, 2, 3).count == 6 * 55
-    assert eval_matching_family("M13", 3, 2, 3).count == 36 * 2
-    assert eval_matching_family("M13", 4, 2, 3).count == 36
-    assert eval_matching_family("M14", 3, 2, 3).count == 72 * 45
+    assert family_count("M1", 1, 2, 3) == 66
+    assert family_count("M1", 2, 2, 3) == 1485
+    assert family_count("M1", 3, 2, 3, "printed") == 27720
+    assert family_count("M1", 3, 2, 3, "corrected") == 13860
+    assert family_count("M5", 3, 2, 3) == 12 * 990 + 15 * 45
+    assert family_count("M6", 2, 2, 3) == 66 * 3
+    assert family_count("M8", 2, 2, 3) == 6 * 55
+    assert family_count("M13", 3, 2, 3) == 36 * 2
+    assert family_count("M13", 4, 2, 3) == 36
+    assert family_count("M14", 3, 2, 3) == 72 * 45
 
 
 def test_m5_order_two_flags_undefined_summand():
-    term = eval_matching_family("M5", 2, 2, 3)
-    assert term.count == 12 * 55  # only the defined summand contributes
-    assert term.note is not None and "undefined" in term.note
+    row = family_rows(2, 3)["M5", 2]
+    assert row["count"] == 12 * 55  # only the defined summand contributes
+    assert row["note"] is not None and "undefined" in row["note"]
     # both modes agree at order 2, per the congruence rule for low orders
-    assert eval_matching_family("M5", 2, 2, 3, "corrected").count == term.count
+    assert family_count("M5", 2, 2, 3, "corrected") == row["count"]
 
 
 def test_corrected_m1_matches_factorial_form():
     for k, p in [(2, 3), (2, 5), (3, 3)]:
         n = (1 << k) * p
+        rows = family_rows(k, p, "corrected")
+        assert family_orders("M1", k, p) == list(range(1, n // 2 + 1))
         for i in family_orders("M1", k, p):
             expected = math.factorial(n) // (
                 math.factorial(i) * 2**i * math.factorial(n - 2 * i))
-            assert eval_matching_family("M1", i, k, p, "corrected").count == expected
+            assert rows["M1", i]["count"] == expected
 
 
 def test_mode_congruence_where_deltas_inactive():
+    printed, corrected = family_rows(2, 3, "printed"), family_rows(2, 3, "corrected")
+    assert printed.keys() == corrected.keys()
     # families with no table-derived factor are mode-independent everywhere
     for fam in ("M2", "M3", "M4", "M7", "M9", "M10", "M13"):
-        for i in family_orders(fam, 2, 3):
-            assert eval_matching_family(fam, i, 2, 3, "printed").count == \
-                eval_matching_family(fam, i, 2, 3, "corrected").count
+        for key in [key for key in printed if key[0] == fam]:
+            assert printed[key]["count"] == corrected[key]["count"]
     # table-backed families agree while every engaged factor has order <= 2
-    assert eval_matching_family("M8", 3, 2, 3, "printed").count == \
-        eval_matching_family("M8", 3, 2, 3, "corrected").count
-    assert eval_matching_family("M8", 4, 2, 3, "printed").count != \
-        eval_matching_family("M8", 4, 2, 3, "corrected").count
+    assert printed["M8", 3]["count"] == corrected["M8", 3]["count"]
+    assert printed["M8", 4]["count"] != corrected["M8", 4]["count"]
 
 
 def test_out_of_range_orders_raise():
-    with pytest.raises(ValueError):
-        eval_matching_family("M2", 2, 2, 3)
-    with pytest.raises(ValueError):
-        eval_matching_family("M1", 7, 2, 3)
-    with pytest.raises(ValueError):
-        eval_matching_family("M15", 3, 2, 3)
-    with pytest.raises(ValueError):
-        eval_matching_family("M99", 1, 2, 3)
+    rows = family_rows(2, 3)
+    assert ("M2", 2) not in rows
+    assert ("M1", 7) not in rows
+    assert ("M15", 3) not in rows
+    assert all(family != "M99" for family, _ in rows)
 
 
 def test_family_orders_2_3():
@@ -167,20 +176,21 @@ def test_family_orders_2_3():
 
 def test_assembly_totals():
     for mode in ("printed", "corrected"):
-        total, terms = paper_hosoya_index(2, 3, mode)
-        assert total == 1 + sum(t.count for t in terms)
-        seen = {(t.family, t.order) for t in terms}
-        expected = {(fam, i) for fam in FAMILY_TAGS
-                    for i in family_orders(fam, 2, 3)}
-        assert seen == expected
-        assert all(t.count >= 0 for t in terms)
+        total, rows = paper_hosoya_index(2, 3, mode)
+        assert total == 1 + sum(row["count"] for row in rows)
+        assert [row["family"] for row in rows] == sorted(
+            (row["family"] for row in rows), key=FAMILY_TAGS.index)
+        assert {row["family"] for row in rows} == set(FAMILY_TAGS)
+        assert len({(row["family"], row["order"]) for row in rows}) == len(rows)
+        assert all(list(row) == ["family", "order", "count", "note"] for row in rows)
+        assert all(row["count"] >= 0 for row in rows)
     # deterministic across repeated evaluation
     assert paper_hosoya_index(2, 3, "printed") == paper_hosoya_index(2, 3, "printed")
 
 
 def test_assembly_notes_only_m5_order_two():
-    _, terms = paper_hosoya_index(2, 3, "printed")
-    noted = [(t.family, t.order) for t in terms if t.note]
+    _, rows = paper_hosoya_index(2, 3, "printed")
+    noted = [(row["family"], row["order"]) for row in rows if row["note"]]
     assert noted == [("M5", 2)]
 
 
@@ -207,7 +217,7 @@ def test_assembly_pinned_up_to_order_512():
     for k, p in cases:
         for mode in ("printed", "corrected"):
             for t in paper_hosoya_index(k, p, mode)[1]:
-                line = f"{k} {p} {mode} {t.family} {t.order} {t.count} {t.note}\n"
+                line = f"{k} {p} {mode} {t['family']} {t['order']} {t['count']} {t['note']}\n"
                 digest.update(line.encode("utf-8"))
     assert digest.hexdigest() == ASSEMBLY_SHA256
 
@@ -227,10 +237,11 @@ def family_table_digest(cases) -> str:
     digest = hashlib.sha256()
     for k, p in cases:
         for mode in MODES:
-            total, terms = paper_hosoya_index(k, p, mode)
+            total, rows = paper_hosoya_index(k, p, mode)
             digest.update(f"{k} {p} {mode} {total}\n".encode("utf-8"))
-            for t in terms:
-                digest.update(f"{t.family} {t.order} {t.count} {t.note}\n".encode("utf-8"))
+            for t in rows:
+                line = f"{t['family']} {t['order']} {t['count']} {t['note']}\n"
+                digest.update(line.encode("utf-8"))
     return digest.hexdigest()
 
 

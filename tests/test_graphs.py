@@ -318,8 +318,9 @@ def test_export_edge_list():
     assert export(k2, "edges") == "0 1\n"
     k1 = Graph.from_edges(1, [])
     assert export(k1, "edges") == "0\n"
-    with pytest.raises(ValueError):
-        export(k1, "gml")
+    for fmt in ("gml", "edge-list"):
+        with pytest.raises(ValueError):
+            export(k1, fmt)
 
 
 def test_export_dot():
