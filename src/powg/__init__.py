@@ -31,7 +31,6 @@ from .distance import (
     DistanceDistribution,
     DistanceProfile,
     RationalExponentPolynomial,
-    all_pairs_distances,
     diameter,
     distance_profile,
     hosoya_polynomial,
@@ -43,7 +42,6 @@ from .matching import (
     MatchingEngine,
     MatchingLimitError,
     MatchingPolynomial,
-    TwinEngine,
     brute_force_matchings,
     complete_graph_matchings,
     hosoya_index,

@@ -2,8 +2,9 @@
 and their generating polynomials, all derived from one DistanceProfile of
 per-vertex layer sizes.  When vertex 0 is universal, as the identity of a
 power graph is, the diameter is at most 2 and the layers follow from the
-degrees; otherwise each vertex gets one bitmask BFS.  bfs_distances and
-all_pairs_distances build full tables by queue BFS: the independent oracle.
+degrees; otherwise each vertex gets one bitmask BFS.  The tests check the
+layers against full distance tables built by queue BFS, an independent
+oracle kept in tests/oracles.py.
 
 Convention: the distance-0 count equals the number of vertices (self pairs
 are counted), so the coefficient total is n + C(n, 2) for a connected graph.
@@ -20,24 +21,6 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from .graphs import Graph
-
-
-def bfs_distances(graph: Graph, src: int) -> list[int]:
-    """Shortest-path distances from src by a queue BFS; -1 marks unreachable."""
-    dist = [-1] * graph.n
-    dist[src] = 0
-    queue = [src]
-    for u in queue:  # appending while iterating makes the list a FIFO queue
-        for w in graph.neighbors(u):
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
-
-
-def all_pairs_distances(graph: Graph) -> tuple[tuple[int, ...], ...]:
-    """Exact all-pairs distance table via BFS from every vertex."""
-    return tuple(tuple(bfs_distances(graph, v)) for v in range(graph.n))
 
 
 @dataclass(frozen=True)

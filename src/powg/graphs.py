@@ -120,27 +120,35 @@ def induced_subgraph(graph: Graph, vertices) -> Graph:
     return Graph(len(verts), tuple(adj), labels)
 
 
-def connected_components(graph: Graph) -> list[frozenset[int]]:
-    """Vertex sets of the connected components, ordered by least vertex."""
-    seen = 0
-    out = []
-    for v in range(graph.n):
-        if seen >> v & 1:
-            continue
-        comp = 1 << v
-        frontier = 1 << v
+def _components(adj, mask: int) -> list[int]:
+    """Connected components, as bitmasks, of the subgraph that the rows
+    adj (one neighbour bitmask per vertex; complement rows ~adj[v] give the
+    complement's components) induce on the vertices in mask, ordered by
+    least vertex."""
+    comps = []
+    rest = mask
+    while rest:
+        seed = rest & -rest
+        comp = seed
+        frontier = seed
         while frontier:
             nxt = 0
             m = frontier
             while m:
                 low = m & -m
-                nxt |= graph.adj[low.bit_length() - 1]
+                nxt |= adj[low.bit_length() - 1]
                 m ^= low
-            frontier = nxt & ~comp
+            frontier = nxt & mask & ~comp
             comp |= frontier
-        seen |= comp
-        out.append(frozenset(i for i in range(graph.n) if comp >> i & 1))
-    return out
+        comps.append(comp)
+        rest &= ~comp
+    return comps
+
+
+def connected_components(graph: Graph) -> list[frozenset[int]]:
+    """Vertex sets of the connected components, ordered by least vertex."""
+    return [frozenset(v for v in range(graph.n) if comp >> v & 1)
+            for comp in _components(graph.adj, (1 << graph.n) - 1)]
 
 
 def degree_histogram(graph: Graph) -> dict[int, int]:

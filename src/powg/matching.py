@@ -4,11 +4,11 @@ matching_polynomial counts i-edge matchings for every i with MatchingEngine,
 a decomposition recursion memoized on vertex-subset bitmasks: components
 are factored, a subgraph whose complement is disconnected is the complete
 join of its parts, and any other subgraph pivots on a vertex of maximum
-degree, with neighbours of equal closed neighbourhood taken once.  Two test
-oracles share none of that: TwinEngine, a pivot recursion memoized on how
-many vertices of each closed-twin class remain, reaches beyond brute-force
-size; brute_force_matchings enumerates every matching of up to 16 vertices.
-All counts are exact Python integers.
+degree, with neighbours of equal closed neighbourhood taken once.  The
+oracle brute_force_matchings shares none of that and enumerates every
+matching of up to 16 vertices; the tests keep a second engine, memoized on
+closed-twin class counts, in tests/oracles.py.  All counts are exact Python
+integers.
 """
 
 from __future__ import annotations
@@ -17,9 +17,10 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .graphs import Graph
+from .graphs import Graph, _components
 
-DEFAULT_MEMO_LIMIT = 1 << 26
+# memo entries one run may store before it stops with MatchingLimitError
+MEMO_LIMIT = 1 << 26
 BRUTE_FORCE_MAX_VERTICES = 16
 
 
@@ -52,30 +53,6 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
     return out
-
-
-def _components(adj, mask: int) -> list[int]:
-    """Connected components, as bitmasks, of the subgraph that the rows
-    adj (one neighbour bitmask per vertex; complement rows ~adj[v] give the
-    complement's components) induce on the vertices in mask."""
-    comps = []
-    rest = mask
-    while rest:
-        seed = rest & -rest
-        comp = seed
-        frontier = seed
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                low = m & -m
-                nxt |= adj[low.bit_length() - 1]
-                m ^= low
-            frontier = nxt & mask & ~comp
-            comp |= frontier
-        comps.append(comp)
-        rest &= ~comp
-    return comps
 
 
 def _join(a: list[int], na: int, b: list[int], nb: int) -> list[int]:
@@ -112,12 +89,12 @@ class MatchingEngine:
       removing v and either one leaves isomorphic graphs: each such group is
       one subproblem weighted by its size.
     Both rules are checked on the live subgraph, so the engine is exact on
-    any graph.  The memo lives for a single run.
+    any graph.  The memo lives for a single run and holds at most MEMO_LIMIT
+    entries.
     """
 
-    def __init__(self, graph: Graph, memo_limit: int = DEFAULT_MEMO_LIMIT):
+    def __init__(self, graph: Graph):
         self.graph = graph
-        self.memo_limit = memo_limit
         self.memo: dict[int, list[int]] = {}
         self.calls = 0
         # complement rows: ~adj[v] & mask is mask minus v's neighbours
@@ -158,9 +135,9 @@ class MatchingEngine:
                     size += n
         else:
             total = self._pivot_poly(cmask)
-        if len(self.memo) >= self.memo_limit:
+        if len(self.memo) >= MEMO_LIMIT:
             raise MatchingLimitError(
-                f"memo entry cap {self.memo_limit} exceeded at {self.graph.n} vertices"
+                f"memo entry cap {MEMO_LIMIT} exceeded at {self.graph.n} vertices"
             )
         self.memo[cmask] = total
         return total
@@ -195,119 +172,14 @@ class MatchingEngine:
         return total
 
 
-class TwinEngine:
-    """One matching-polynomial computation over closed-twin classes.
-
-    Vertices with equal closed neighbourhoods adj[v] | 1 << v form a clique,
-    and two such classes are joined completely or not at all.  The matching
-    count of what remains therefore depends only on how many vertices of
-    each class remain, so the state is that count vector.  Classes are found
-    from the adjacency rows alone, so the engine is exact on any graph; in a
-    power graph the elements generating one cyclic subgroup fall into one
-    class.  The memo lives for a single run.
-    """
-
-    def __init__(self, graph: Graph, memo_limit: int = DEFAULT_MEMO_LIMIT):
-        self.graph = graph
-        self.memo_limit = memo_limit
-        self.memo: dict[tuple[int, ...], list[int]] = {}
-        self.calls = 0
-        members: dict[int, list[int]] = {}
-        for v in range(graph.n):
-            members.setdefault(graph.adj[v] | 1 << v, []).append(v)
-        closed = list(members)
-        self.sizes = tuple(len(vs) for vs in members.values())
-        # class j is adjacent to class i when i's closed neighbourhood holds
-        # any (hence every) vertex of j
-        self.class_adj = tuple(
-            sum(1 << j for j, vs in enumerate(members.values())
-                if j != i and closed[i] >> vs[0] & 1)
-            for i in range(len(closed)))
-
-    def run(self) -> MatchingPolynomial:
-        try:
-            coeffs = self._poly(self.sizes)
-        except RecursionError:  # one frame per removed vertex
-            raise MatchingLimitError(
-                f"recursion depth exceeded at {self.graph.n} vertices") from None
-        return MatchingPolynomial(tuple(coeffs))
-
-    @property
-    def stats(self) -> dict[str, int | str]:
-        return {"memo_entries": len(self.memo), "subproblems": self.calls,
-                "pivot": "max-degree", "classes": len(self.sizes)}
-
-    def _components(self, counts: tuple[int, ...]):
-        """Count vectors of the components of the remaining graph, each zero
-        outside its own classes; single vertices are left out."""
-        live = sum(1 << i for i, r in enumerate(counts) if r)
-        for comp in _components(self.class_adj, live):
-            if comp & (comp - 1) or counts[comp.bit_length() - 1] > 1:
-                yield tuple(r if comp >> i & 1 else 0 for i, r in enumerate(counts))
-
-    def _pick_pivot(self, counts: tuple[int, ...]) -> int:
-        """The class of maximum vertex degree, the lowest index on ties."""
-        class_adj = self.class_adj
-        best_i, best_d = -1, -1
-        for i, r in enumerate(counts):
-            if r:
-                d = r - 1
-                m = class_adj[i]
-                while m:
-                    low = m & -m
-                    d += counts[low.bit_length() - 1]
-                    m ^= low
-                if d > best_d:
-                    best_i, best_d = i, d
-        return best_i
-
-    def _poly(self, counts: tuple[int, ...]) -> list[int]:
-        result = [1]
-        for comp in self._components(counts):
-            total = self.memo.get(comp)
-            if total is None:
-                self.calls += 1
-                i = self._pick_pivot(comp)
-                rest = list(comp)
-                rest[i] -= 1
-                # the pivot vertex stays unmatched
-                total = self._poly(tuple(rest))
-                # or is matched to one of the rest[i] vertices left in its own
-                # class, or to one of the comp[j] vertices of a neighbour class j
-                partners = [(rest[i], i)]
-                m = self.class_adj[i]
-                while m:
-                    low = m & -m
-                    j = low.bit_length() - 1
-                    partners.append((comp[j], j))
-                    m ^= low
-                for weight, j in partners:
-                    if weight:
-                        rest[j] -= 1
-                        sub = self._poly(tuple(rest))
-                        rest[j] += 1
-                        if len(total) < len(sub) + 1:
-                            total = total + [0] * (len(sub) + 1 - len(total))
-                        for d, c in enumerate(sub):
-                            total[d + 1] += weight * c
-                if len(self.memo) >= self.memo_limit:
-                    raise MatchingLimitError(
-                        f"memo entry cap {self.memo_limit} exceeded at {self.graph.n} vertices"
-                    )
-                self.memo[comp] = total
-            result = _convolve(result, total)
-        return result
-
-
-def matching_polynomial(graph: Graph,
-                        memo_limit: int = DEFAULT_MEMO_LIMIT) -> MatchingPolynomial:
+def matching_polynomial(graph: Graph) -> MatchingPolynomial:
     """Exact matching polynomial of the graph, by the decomposition engine."""
-    return MatchingEngine(graph, memo_limit=memo_limit).run()
+    return MatchingEngine(graph).run()
 
 
-def hosoya_index(graph: Graph, memo_limit: int = DEFAULT_MEMO_LIMIT) -> int:
+def hosoya_index(graph: Graph) -> int:
     """Total number of matchings, the empty matching included."""
-    return matching_polynomial(graph, memo_limit=memo_limit).hosoya_index
+    return matching_polynomial(graph).hosoya_index
 
 
 def brute_force_matchings(graph: Graph) -> MatchingPolynomial:

@@ -28,7 +28,7 @@ from .formulas import (
 )
 from .graphs import build_power_graph, classify_edges, verify_structure_theorem
 from .groups import FamilyParams, build_family, partition
-from .matching import DEFAULT_MEMO_LIMIT, MatchingEngine
+from .matching import MatchingEngine
 
 JSON_SAFE_INT = 1 << 53
 _encode_str = json.encoder.encode_basestring_ascii  # the C escaper json itself uses
@@ -75,8 +75,7 @@ def _oracle_index(graph, k, p):
     structurally different computations that must agree: the decomposition
     engine runs on the graph, and the order-arithmetic count reads only
     (k, p)."""
-    # named, not left to the default, so the cap is read when the run starts
-    engine = MatchingEngine(graph, memo_limit=DEFAULT_MEMO_LIMIT)
+    engine = MatchingEngine(graph)
     coeffs = list(engine.run().coeffs)
     if family_matching_polynomial(k, p) != coeffs:
         raise CrossCheckError(f"the decomposition engine and the arithmetic count "
@@ -98,10 +97,8 @@ def _degree_block(graph, part):
     }
 
 
-def _diff_rows(oracle, paper_by_mode, part, rs_polys):
-    """Diff rows of one case.  rs_polys holds the reciprocal-status
-    polynomials of the oracle and of each mode; their Fraction exponents
-    order the rs_hosoya rows."""
+def _diff_rows(oracle, paper_by_mode, part):
+    """Diff rows of one case, sorted by (invariant, location, mode)."""
     diffs = []
 
     def add(invariant, location, oval, pval, mode):
@@ -122,12 +119,9 @@ def _diff_rows(oracle, paper_by_mode, part, rs_polys):
             add("hosoya_polynomial", f"dis{i}", ov, pv, "both")
 
     o_terms = oracle["rs_hosoya_terms"]
-    o_exps = dict(zip(o_terms, rs_polys["oracle"].terms))  # exponent text -> Fraction
     for mode in ("printed", "corrected"):
         p_terms = paper_by_mode[mode]["rs_hosoya_terms"]
-        exps = o_exps | dict(zip(p_terms, rs_polys[mode].terms))
-        # two descending runs, which the sort merges
-        for exp in sorted(exps, key=exps.__getitem__, reverse=True):
+        for exp in o_terms | p_terms:
             ov, pv = o_terms.get(exp, 0), p_terms.get(exp, 0)
             if ov != pv:
                 add("rs_hosoya", f"x^{exp}", ov, pv, mode)
@@ -213,24 +207,22 @@ def compare(k: int, p: int, *, include_index: bool = True) -> dict:
 
     t0 = time.perf_counter()
     paper_by_mode = {}
-    rs_polys = {"oracle": rs_poly}
     # the same in both modes: the two mode blocks share these objects
     coeffs = list(paper_hosoya_coeffs(k, p))
     degrees = paper_degree_claims(k, p)
     kinds = paper_edge_type_counts(k, p)
     for mode in ("printed", "corrected"):
         total, rows = paper_hosoya_index(k, p, mode)
-        rs_polys[mode] = paper_rs_hosoya(k, p, mode)
         paper_by_mode[mode] = {
             "hosoya_coefficients": coeffs,
-            "rs_hosoya_terms": rs_polys[mode].term_strings(),
+            "rs_hosoya_terms": paper_rs_hosoya(k, p, mode).term_strings(),
             "degrees": degrees,
             "edge_kind_counts": kinds,
             "hosoya_index": {"total": total, "families": rows},
         }
     timings["formulas"] = time.perf_counter() - t0
 
-    diffs = _diff_rows(oracle, paper_by_mode, part, rs_polys)
+    diffs = _diff_rows(oracle, paper_by_mode, part)
 
     return {
         "case": {"family": "sdl", "k": k, "p": p, "order": params.order},

@@ -194,8 +194,8 @@ def test_verify_deterministic_and_cache(tmp_path):
 
 
 def test_verify_resource_limit_exit_3(tmp_path, monkeypatch):
-    import powg.report as report_mod
-    monkeypatch.setattr(report_mod, "DEFAULT_MEMO_LIMIT", 4)
+    import powg.matching as matching_mod
+    monkeypatch.setattr(matching_mod, "MEMO_LIMIT", 4)
     rc = main(["verify", "--k", "2", "--p", "3", "--no-cache",
                        "--out", str(tmp_path / "x.json")])
     assert rc == 3

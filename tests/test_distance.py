@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from powg import (
     FamilyParams,
     Graph,
-    all_pairs_distances,
     build_cyclic,
     build_family,
     build_power_graph,
@@ -20,6 +19,7 @@ from powg import (
     wiener_index,
 )
 from conftest import complete_graph, random_graph
+from oracles import all_pairs_distances
 
 # rs-sum term map of the (2, 3) family power graph, derived by hand from the
 # oracle degrees: e:23, u:15, H1 degrees {11,11,11,11,9,9,8,8,7,7}, H2:1, H3:3,

@@ -7,12 +7,12 @@ import sys
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from powg import matching
 from powg import (
     FamilyParams,
     Graph,
     MatchingEngine,
     MatchingLimitError,
-    TwinEngine,
     brute_force_matchings,
     build_cyclic,
     build_family,
@@ -24,6 +24,7 @@ from powg import (
     telephone_number,
 )
 from conftest import complete_graph, random_graph
+from oracles import TwinEngine
 
 # sha256 of `powg invariant matching-poly --cyclic N` for N = 1..30, each
 # rendering followed by a newline, as printed by the bitmask engine
@@ -180,14 +181,15 @@ def test_printed_and_corrected_agree_up_to_order_two():
                     complete_graph_matchings(n, i, "corrected")
 
 
-def test_memo_limit_is_graceful():
+def test_memo_limit_is_graceful(monkeypatch):
     # a 12-cycle: every pivot leaves paths, one memo entry per path and cycle
     g = Graph.from_edges(12, [(i, (i + 1) % 12) for i in range(12)])
     assert MatchingEngine(g).run().hosoya_index == 322  # Lucas number L_12
+    monkeypatch.setattr(matching, "MEMO_LIMIT", 4)
+    with pytest.raises(MatchingLimitError, match="memo entry cap 4 exceeded"):
+        matching_polynomial(g)
     with pytest.raises(MatchingLimitError):
-        matching_polynomial(g, memo_limit=4)
-    with pytest.raises(MatchingLimitError):
-        TwinEngine(g, memo_limit=4).run()
+        TwinEngine(g).run()
 
 
 def test_engine_stats():
