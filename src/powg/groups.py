@@ -16,6 +16,7 @@ import math
 import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import repeat
 
 # Explicit n x n tables only; keeps memory at desk scale.
 MAX_ORDER = 1024
@@ -295,8 +296,11 @@ def partition(g: FiniteGroup, params: FamilyParams) -> GroupPartition:
 
 def _validate_table(table: tuple[tuple[int, ...], ...]) -> None:
     """Check the group axioms exactly, at every order; raises GroupError
-    naming the first witness found.  Inverses are checked per element,
-    right (a 0 in its row) before left (a 0 in its column).  Associativity
+    naming the first witness found.  Inverses are proved by one scan: if
+    every row holds a 0 and the first 0s of the rows fall in n distinct
+    columns, every column holds a 0 too.  Only when that proof fails are
+    they checked per element, right (a 0 in its row) before left (a 0 in
+    its column), to name the first element that lacks one.  Associativity
     is Light's test: if (x·g)·y = x·(g·y) for all x, y and each g of a
     generating set, it holds for all triples, as the elements passing it
     are closed under products."""
@@ -309,11 +313,16 @@ def _validate_table(table: tuple[tuple[int, ...], ...]) -> None:
                 raise GroupError(f"identity element is at index {e}, not 0")
         raise GroupError("element 0 is not an identity (row or column broken)")
 
-    for x, column in enumerate(zip(*table)):
-        if 0 not in table[x]:
-            raise GroupError(f"element {x} has no right inverse")
-        if 0 not in column:
-            raise GroupError(f"element {x} has no left inverse")
+    try:
+        inverse_columns = set(map(tuple.index, table, repeat(0)))
+    except ValueError:  # a row with no 0
+        inverse_columns = set()
+    if len(inverse_columns) < n:
+        for x, column in enumerate(zip(*table)):
+            if 0 not in table[x]:
+                raise GroupError(f"element {x} has no right inverse")
+            if 0 not in column:
+                raise GroupError(f"element {x} has no left inverse")
 
     # `reached` is the closure of {0} under right multiplication by the
     # generators so far, a subgroup once they pass.  A passing g has a right
@@ -359,50 +368,55 @@ def load_cayley_table(text: str) -> FiniteGroup:
     Format: line 1 is the order n; lines 2..n+1 hold n whitespace-separated
     0-based indices each (row g, column h gives g·h); index 0 must be the
     identity.  Optional trailing lines "label <index> <string>" attach
-    display labels.  LF or CRLF both accepted.
+    display labels.  LF or CRLF both accepted.  Blank lines are skipped,
+    and every "line N:" in an error message counts them, so N is the line's
+    number in the file.
 
-    Each row is one split and one map through a str -> index dictionary,
-    whose lookups also prove 0 <= v < n; only a row with a key missing from
-    it (a spelling such as 01 or +1, or a bad entry) goes through int() and
-    a range check.  The table is then validated by _validate_table.
+    Each row is one split and one operator.itemgetter call on a str -> index
+    dictionary, whose lookups also prove 0 <= v < n; only a row with a key
+    missing from it (a spelling such as 01 or +1, or a bad entry) goes
+    through int() and a range check.  The table is then validated by
+    _validate_table.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
+    lines = [(line_no, ln) for line_no, ln in enumerate(map(str.strip, text.splitlines()), 1)
+             if ln]
     if not lines:
         raise GroupError("empty Cayley table input")
+    line_no, first = lines[0]
     try:
-        n = int(lines[0])
+        n = int(first)
     except ValueError:
-        raise GroupError(f"line 1: expected the order, got {lines[0]!r}") from None
+        raise GroupError(f"line {line_no}: expected the order, got {first!r}") from None
     if n < 1:
-        raise GroupError(f"line 1: order must be positive, got {n}")
+        raise GroupError(f"line {line_no}: order must be positive, got {n}")
     if n > MAX_ORDER:
         raise GroupError(f"order {n} exceeds the supported exact-table size ({MAX_ORDER})")
     if len(lines) < n + 1:
         raise GroupError(f"expected {n} table rows, found {len(lines) - 1}")
 
-    index = {str(v): v for v in range(n)}.__getitem__
+    index = {str(v): v for v in range(n)}
     table = []
-    for i in range(n):
-        parts = lines[1 + i].split()
+    for line_no, ln in lines[1:n + 1]:
+        parts = ln.split()
         if len(parts) != n:
-            raise GroupError(f"line {i + 2}: expected {n} entries, got {len(parts)}")
+            raise GroupError(f"line {line_no}: expected {n} entries, got {len(parts)}")
         try:
-            table.append(tuple(map(index, parts)))
+            # itemgetter of a single key returns the value, not a 1-tuple
+            table.append(operator.itemgetter(*parts)(index) if n > 1 else (index[parts[0]],))
         except KeyError:
-            table.append(_parse_row(parts, n, i + 2))
+            table.append(_parse_row(parts, n, line_no))
 
     labels = [str(i) for i in range(n)]
-    for extra_no, ln in enumerate(lines[n + 1:], start=n + 2):
+    for line_no, ln in lines[n + 1:]:
         parts = ln.split(maxsplit=2)
         if parts[0] != "label" or len(parts) != 3:
-            raise GroupError(f"line {extra_no}: expected 'label <index> <string>'")
+            raise GroupError(f"line {line_no}: expected 'label <index> <string>'")
         try:
             idx = int(parts[1])
         except ValueError:
-            raise GroupError(f"line {extra_no}: bad label index {parts[1]!r}") from None
+            raise GroupError(f"line {line_no}: bad label index {parts[1]!r}") from None
         if not 0 <= idx < n:
-            raise GroupError(f"line {extra_no}: label index {idx} out of range")
+            raise GroupError(f"line {line_no}: label index {idx} out of range")
         labels[idx] = parts[2]
 
     table = tuple(table)

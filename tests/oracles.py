@@ -5,11 +5,16 @@ vertices of each closed-twin class remain; it shares no decomposition rule
 with powg's MatchingEngine and reaches beyond brute-force size.
 bfs_distances and all_pairs_distances build full distance tables by queue
 BFS, against which the layer sizes of powg.distance are checked.
+reference_validate is the group-axiom check that checked inverses element
+by element, against which powg.groups._validate_table is compared.
 """
 
 from __future__ import annotations
 
+import operator
+
 from powg import matching
+from powg.groups import GroupError
 from powg.graphs import Graph, _components
 from powg.matching import MatchingLimitError, MatchingPolynomial, _convolve
 
@@ -134,3 +139,50 @@ class TwinEngine:
                 self.memo[comp] = total
             result = _convolve(result, total)
         return result
+
+
+def reference_validate(table: tuple[tuple[int, ...], ...]) -> None:
+    """Check the group axioms exactly, at every order; raises GroupError
+    naming the first witness found.  Inverses are checked per element,
+    right (a 0 in its row) before left (a 0 in its column).  Associativity
+    is Light's test: if (x·g)·y = x·(g·y) for all x, y and each g of a
+    generating set, it holds for all triples, as the elements passing it
+    are closed under products."""
+    n = len(table)
+    ident = tuple(range(n))
+    if table[0] != ident or tuple(row[0] for row in table) != ident:
+        # locate a genuine identity elsewhere to give the sharper error
+        for e in range(1, n):
+            if tuple(row[e] for row in table) == ident and table[e] == ident:
+                raise GroupError(f"identity element is at index {e}, not 0")
+        raise GroupError("element 0 is not an identity (row or column broken)")
+
+    for x, column in enumerate(zip(*table)):
+        if 0 not in table[x]:
+            raise GroupError(f"element {x} has no right inverse")
+        if 0 not in column:
+            raise GroupError(f"element {x} has no left inverse")
+
+    # `reached` is the closure of {0} under right multiplication by the
+    # generators so far, a subgroup once they pass.  A passing g has a right
+    # inverse g' with (x·g)·g' = x, so x -> x·g is injective and reached·g is
+    # a disjoint coset: each generator at least doubles `reached`, so at most
+    # floor(log2 n) generators are needed and no cap is.
+    reached, gens = {0}, []
+    while len(reached) < n:
+        g = next(x for x in range(n) if x not in reached)
+        row_g = table[g]
+        through_g = operator.itemgetter(*row_g)  # row of x -> row of x·(g·y)
+        for x, row_x in enumerate(table):
+            row_xg = table[row_x[g]]
+            if through_g(row_x) != row_xg:
+                y = next(y for y in range(n) if row_xg[y] != row_x[row_g[y]])
+                raise GroupError(
+                    f"associativity fails at triple ({x}, {g}, {y}): "
+                    f"({x}·{g})·{y} = {row_xg[y]} but {x}·({g}·{y}) = {row_x[row_g[y]]}"
+                )
+        gens.append(g)
+        frontier = set(reached)
+        while frontier:
+            frontier = {table[r][h] for r in frontier for h in gens} - reached
+            reached |= frontier

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from powg import (
     FamilyParams,
@@ -15,6 +15,7 @@ from powg import (
 )
 from powg.groups import MAX_ORDER
 from conftest import cayley_text, oracle_groups, rows_text
+from oracles import reference_validate
 
 # a magma with identity 0 in which 1 * 1 = 1, so no power of 1 is e
 NON_GROUP = FiniteGroup(2, ((0, 1), (1, 1)), ("0", "1"))
@@ -309,6 +310,11 @@ def test_cayley_parse_errors():
     # elements in index order, the right inverse before the left one
     ("3\n0 1 2\n1 1 0\n2 2 1\n", "element 1 has no left inverse"),
     ("3\n0 1 2\n1 1 2\n2 2 0\n", "element 1 has no right inverse"),
+    # blank lines are skipped but still counted in the line numbers
+    ("2\n\n0 1\n1 0 0\n", "line 4: expected 2 entries, got 3"),
+    ("\n\n2\n0 1\n1 0\nlabel 5 a\n", "line 6: label index 5 out of range"),
+    ("\n\nx\n", "line 3: expected the order, got 'x'"),
+    ("1\n1\n", "line 2: entry 1 out of range 0..0"),
 ])
 def test_cayley_error_messages_are_pinned(text, message):
     with pytest.raises(GroupError) as exc:
@@ -319,7 +325,48 @@ def test_cayley_error_messages_are_pinned(text, message):
 def test_cayley_non_canonical_spellings_load_as_canonical():
     canonical = load_cayley_table("3\n0 1 2\n1 2 0\n2 0 1\nlabel 1 a\n")
     for text in ("3\n0 01 2\n+1 2 00\n2 -0 0_1\nlabel 1 a\n",
-                 "3\n00 +1 02\n1 2 0\n2 0 1\nlabel 01 a\n"):
+                 "3\n00 +1 02\n1 2 0\n2 0 1\nlabel 01 a\n",
+                 "3\n0 1 2\n+1 2 00\n2 0 1\nlabel 1 a\n"):
         g = load_cayley_table(text)
         assert (g.order, g.table, g.labels) == (canonical.order, canonical.table,
                                                 canonical.labels)
+
+
+def test_cayley_order_one():
+    # one key is a scalar to operator.itemgetter, so n = 1 reads its row apart
+    for text in ("1\n0\n", "1\n00\n", "1\n+0\nlabel 0 e\n"):
+        assert load_cayley_table(text).table == ((0,),)
+
+
+@st.composite
+def small_magmas(draw):
+    """An n x n table, n <= 6, with row 0 and column 0 the identity's and
+    every other cell drawn from 0..n-1."""
+    n = draw(st.integers(1, 6))
+    cells = iter(draw(st.lists(st.integers(0, n - 1), min_size=(n - 1) ** 2,
+                               max_size=(n - 1) ** 2)))
+    return [list(range(n))] + [[x] + [next(cells) for _ in range(n - 1)]
+                               for x in range(1, n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_magmas())
+@example([[0, 1, 2], [1, 2, 0], [2, 0, 1]])             # Z_3: accepted
+@example([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])  # Klein four
+@example([[0, 1, 2], [1, 0, 0], [2, 0, 0]])             # two 0s in a row, none missing
+@example([[0, 1, 2], [1, 0, 2], [2, 0, 1]])             # a 0 in every row, not column
+@example([[0, 1, 2], [1, 2, 1], [2, 0, 1]])             # a row with no 0
+def test_validation_matches_the_per_element_oracle(rows):
+    # the one-scan inverse proof accepts and rejects exactly as the
+    # per-element check did, naming the same first witness
+    try:
+        reference_validate(tuple(map(tuple, rows)))
+        expected = None
+    except GroupError as exc:
+        expected = str(exc)
+    try:
+        g = load_cayley_table(rows_text(rows))
+    except GroupError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None and g.table == tuple(map(tuple, rows))
