@@ -16,7 +16,6 @@ count disagree).
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 from pathlib import Path
 
@@ -85,11 +84,7 @@ def _parse_int_list(text: str) -> list[int]:
         raise UsageError(f"expected a comma-separated integer list, got {text!r}") from None
 
 
-@functools.cache
 def build_parser() -> _Parser:
-    """The argument parser, built on first use and then shared by every
-    main() call in the process.  It keeps no per-call state: argparse looks
-    up sys.stdout, sys.stderr and the terminal width only when it prints."""
     parser = _Parser(prog="powg", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -368,9 +368,10 @@ def load_cayley_table(text: str) -> FiniteGroup:
     Format: line 1 is the order n; lines 2..n+1 hold n whitespace-separated
     0-based indices each (row g, column h gives g·h); index 0 must be the
     identity.  Optional trailing lines "label <index> <string>" attach
-    display labels.  LF or CRLF both accepted.  Blank lines are skipped,
-    and every "line N:" in an error message counts them, so N is the line's
-    number in the file.
+    display labels.  Lines end at LF, with or without a CR before it; no
+    other character ends a line, so a label may hold any other character.
+    Blank lines are skipped, and every "line N:" in an error message counts
+    them, so N is the line's number in the file.
 
     Each row is one split and one operator.itemgetter call on a str -> index
     dictionary, whose lookups also prove 0 <= v < n; only a row with a key
@@ -378,7 +379,7 @@ def load_cayley_table(text: str) -> FiniteGroup:
     through int() and a range check.  The table is then validated by
     _validate_table.
     """
-    lines = [(line_no, ln) for line_no, ln in enumerate(map(str.strip, text.splitlines()), 1)
+    lines = [(line_no, ln) for line_no, ln in enumerate(map(str.strip, text.split("\n")), 1)
              if ln]
     if not lines:
         raise GroupError("empty Cayley table input")

@@ -342,10 +342,6 @@ def render_report(doc: dict) -> str:
 
     write(doc, "\n")
     out("\n")
-    # write and write_rows hold each other through their closures; unbinding
-    # them breaks that cycle, so the chunks are freed on return instead of
-    # waiting in the cyclic collector's oldest generation
-    del write, write_rows
     return "".join(chunks)
 
 

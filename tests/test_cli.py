@@ -10,7 +10,7 @@ import pytest
 
 from conftest import cayley_text, oracle_groups
 from powg import element_order, telephone_number
-from powg.cli import build_parser, main
+from powg.cli import main
 from powg.report import jsonable, strip_timings
 
 
@@ -207,35 +207,6 @@ def test_main_returns_codes_in_process(tmp_path):
     assert main(["verify", "--k", "", "--p", "3", "--no-cache"]) == 1
     assert main(["verify", "--k", "1", "--p", "3", "--no-cache"]) == 2
 
-
-
-def test_one_parser_serves_a_sequence_of_calls(tmp_path, capsys, monkeypatch):
-    # each call gives what the same call gives first in a fresh interpreter
-    monkeypatch.setenv("COLUMNS", "80")  # one help width on both sides
-    table = tmp_path / "z4.txt"
-    table.write_text("4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\n", encoding="utf-8")
-    calls = [["bogus"], ["--help"],
-             ["paper", "eval", "--k", "2", "--p", "3", "--which", "index"],
-             ["group", "--cayley", str(table), "info"],
-             ["verify", "--k", "2", "--p", "3"]]
-    build_parser.cache_clear()
-    codes = []
-    for argv in calls:
-        code = main(argv)
-        got = capsys.readouterr()
-        fresh = run_cli(argv)
-        if argv[0] == "verify":  # timings differ between any two runs
-            assert strip_timings(json.loads(got.out)) == strip_timings(json.loads(fresh.stdout))
-        else:
-            assert got.out == fresh.stdout, argv
-        assert (code, got.err) == (fresh.returncode, fresh.stderr), argv
-        codes.append(code)
-    assert codes == [1, 0, 0, 0, 0]
-    assert build_parser.cache_info().misses == 1
-    res = subprocess.run([sys.executable, "-c", "import powg.cli as c; "
-                          "print(c.build_parser.cache_info().currsize)"],
-                         capture_output=True, text=True)
-    assert res.stdout == "0\n"  # importing the module builds no parser
 
 def test_bigint_serialization():
     assert jsonable({"z": 2**60, "small": 7}) == {"z": str(2**60), "small": 7}

@@ -208,6 +208,12 @@ def test_cayley_roundtrip_z2_crlf_and_labels():
     assert g.labels == ("e", "flip")
 
 
+def test_cayley_label_keeps_other_line_breaks():
+    # str.splitlines would end a line at each of these
+    g = load_cayley_table("2\n0 1\n1 0\nlabel 0 a\x85b\u2028c\x0cd\x1ce\r\n")
+    assert g.labels == ("a\x85b\u2028c\x0cd\x1ce", "1")
+
+
 def test_cayley_roundtrip_family():
     g0 = family(2, 3)
     g = load_cayley_table(cayley_text(g0))
@@ -315,6 +321,8 @@ def test_cayley_parse_errors():
     ("\n\n2\n0 1\n1 0\nlabel 5 a\n", "line 6: label index 5 out of range"),
     ("\n\nx\n", "line 3: expected the order, got 'x'"),
     ("1\n1\n", "line 2: entry 1 out of range 0..0"),
+    # only LF ends a line: a NEL inside a label does not
+    ("1\n0\nlabel 0 a\x85b\nx\n", "line 4: expected 'label <index> <string>'"),
 ])
 def test_cayley_error_messages_are_pinned(text, message):
     with pytest.raises(GroupError) as exc:
