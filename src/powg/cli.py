@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .distance import hosoya_polynomial, rs_hosoya_polynomial, wiener_index
 from .formulas import (
@@ -71,7 +70,8 @@ def _resolve_group(args) -> FiniteGroup:
     if args.cyclic is not None:
         return build_cyclic(args.cyclic)
     try:
-        text = Path(args.cayley).read_text(encoding="utf-8-sig")
+        with open(args.cayley, encoding="utf-8-sig", newline="") as f:  # keep line endings
+            text = f.read()
     except OSError as exc:
         raise GroupError(f"cannot read Cayley file: {exc}") from None
     return load_cayley_table(text)
@@ -131,7 +131,8 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
         return
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 

@@ -15,20 +15,17 @@ separately so the total is always conserved.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import zip_longest
 
 from .graphs import Graph
 
 
-@dataclass(frozen=True)
-class DistanceDistribution:
+class DistanceDistribution(namedtuple("DistanceDistribution", "counts unreachable_pairs")):
     """Counts of vertex pairs per distance; counts[0] is the vertex count."""
 
-    counts: tuple[int, ...]
-    unreachable_pairs: int
+    __slots__ = ()
 
     @property
     def n(self) -> int:
@@ -67,12 +64,10 @@ def _layer_sizes(graph: Graph, src: int) -> tuple[int, ...]:
     return tuple(sizes)
 
 
-@dataclass(frozen=True)
-class DistanceProfile:
+class DistanceProfile(namedtuple("DistanceProfile", "graph layers")):
     """Layer sizes of every vertex: layers[v][d] vertices lie at distance d from v."""
 
-    graph: Graph
-    layers: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     def distribution(self) -> DistanceDistribution:
         """Distance counts (unordered pairs for d >= 1) and unreachable pairs."""

@@ -13,7 +13,7 @@ o(x) | o(y) or o(y) | o(x), one row mask per divisor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .groups import FiniteGroup, GroupPartition, cyclic_subgroups
 
@@ -23,18 +23,20 @@ EDGE_PATTERN_TAGS = ("E1", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E1
 EDGE_KINDS = ("eu", "eh1", "eh2", "eh3", "uh3", "vw", "yz")
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(namedtuple("Graph", "n adj labels")):
     """Immutable simple graph; adj[v] is a bitmask of the neighbours of v."""
 
-    n: int
-    adj: tuple[int, ...]
-    labels: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for v in range(self.n):
-            if self.adj[v] >> v & 1:
+    def __new__(cls, n: int, adj: tuple[int, ...], labels: tuple[str, ...]) -> Graph:
+        for v in range(n):
+            if adj[v] >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
+        return super().__new__(cls, n, adj, labels)
+
+    @classmethod
+    def _make(cls, iterable) -> Graph:  # so _replace validates too
+        return cls(*iterable)
 
     @staticmethod
     def from_edges(n: int, edges, labels=None) -> "Graph":
@@ -183,8 +185,7 @@ def _count(graph: Graph, rule: list[int]) -> int:
                for x, (a, r) in enumerate(zip(graph.adj, rule)) if r)
 
 
-@dataclass(frozen=True)
-class EdgeClassification:
+class EdgeClassification(namedtuple("EdgeClassification", "graph blocks counts")):
     """Edge classification of a family power graph.
 
     blocks maps each pattern tag (E1, E4..E13; E2 and E3 folded into E10
@@ -196,9 +197,7 @@ class EdgeClassification:
     kind_edges list the edges on demand.
     """
 
-    graph: Graph
-    blocks: dict[str, list[tuple[int, int]]]
-    counts: dict[str, int]
+    __slots__ = ()
 
     def pattern_counts(self) -> dict[str, int]:
         return {tag: self.counts[tag] for tag in EDGE_PATTERN_TAGS}
@@ -265,24 +264,18 @@ def _order_divisibility_rows(n: int) -> tuple[int, ...]:
     return tuple(row[d] & ~(1 << i) for i, d in enumerate(order))
 
 
-@dataclass(frozen=True)
-class StructureReport:
-    """Edge-decomposition check of the family power graph.
+class StructureReport(namedtuple("StructureReport", (
+        "edges_total edges_in_r pendant_count pair_edge_count cyclic_edge_count "
+        "prefix_matches_cyclic cover_ok disjoint_ok count_identity_ok"))):
+    """Edge-decomposition check of the family power graph: five edge counts
+    and four bools.
 
     The decomposition (shared vertices e and u allowed) is: edges inside
     <r>, one pendant edge per even-exponent reflection, and five edges per
     partner pair {y, z}: e-y, e-z, u-y, u-z, y-z.
     """
 
-    edges_total: int
-    edges_in_r: int
-    pendant_count: int
-    pair_edge_count: int
-    cyclic_edge_count: int
-    prefix_matches_cyclic: bool
-    cover_ok: bool
-    disjoint_ok: bool
-    count_identity_ok: bool
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import repeat
 
 # Explicit n x n tables only; keeps memory at desk scale.
@@ -37,23 +37,27 @@ def _is_odd_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(namedtuple("FamilyParams", "k p")):
     """Parameters (k, p) of the built-in family: k >= 2, p an odd prime."""
 
-    k: int
-    p: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or self.k < 2:
-            raise ValueError(f"k must be an integer >= 2, got {self.k!r}")
-        if not isinstance(self.p, int) or not _is_odd_prime(self.p):
-            raise ValueError(f"p must be an odd prime, got {self.p!r}")
+    def __new__(cls, k: int, p: int) -> FamilyParams:
+        if not isinstance(k, int) or k < 2:
+            raise ValueError(f"k must be an integer >= 2, got {k!r}")
+        if not isinstance(p, int) or not _is_odd_prime(p):
+            raise ValueError(f"p must be an odd prime, got {p!r}")
+        self = super().__new__(cls, k, p)
         if self.order > MAX_ORDER:
             raise ValueError(
                 f"group order 2^(k+1)*p = {self.order} exceeds the supported "
                 f"exact-table size ({MAX_ORDER})"
             )
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> FamilyParams:  # so _replace validates too
+        return cls(*iterable)
 
     @property
     def n_r(self) -> int:
@@ -80,23 +84,24 @@ class FamilyParams:
         return self.half - 1
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(namedtuple("FiniteGroup", "order table labels family")):
     """Immutable finite group given by a total multiplication table.
 
     identity is always element 0; labels are unique display strings.
     """
 
-    order: int
-    table: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...]
-    family: FamilyParams | None = None
-
+    __slots__ = ()
     identity = 0
 
-    def __post_init__(self) -> None:
-        if len(set(self.labels)) != self.order:
+    def __new__(cls, order: int, table: tuple[tuple[int, ...], ...], labels: tuple[str, ...],
+                family: FamilyParams | None = None) -> FiniteGroup:
+        if len(set(labels)) != order:
             raise GroupError("labels are not unique")
+        return super().__new__(cls, order, table, labels, family)
+
+    @classmethod
+    def _make(cls, iterable) -> FiniteGroup:  # so _replace validates too
+        return cls(*iterable)
 
     def mult(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -119,22 +124,16 @@ class FiniteGroup:
         return range(self.order)
 
 
-@dataclass(frozen=True)
-class GroupPartition:
+class GroupPartition(namedtuple("GroupPartition", "h0 h1 h2 h3 u partner_pairs n_r")):
     """The four-block partition of the family group, plus derived views.
 
     H0 = {e, u}, H1 = <r> \\ H0, H2 = reflections with even r-exponent,
-    H3 = reflections with odd r-exponent.  partner_pairs lists the
-    (y, z) pairs of H3 with z = y^3 and y^2 = u.
+    H3 = reflections with odd r-exponent (frozensets of indices).
+    partner_pairs lists the (y, z) pairs of H3 with z = y^3 and y^2 = u;
+    n_r = 2^k p is the order of <r>.
     """
 
-    h0: frozenset[int]
-    h1: frozenset[int]
-    h2: frozenset[int]
-    h3: frozenset[int]
-    u: int
-    partner_pairs: tuple[tuple[int, int], ...]
-    n_r: int
+    __slots__ = ()
 
     @property
     def omega(self) -> frozenset[int]:

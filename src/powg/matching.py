@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .graphs import Graph, _components
 
@@ -28,11 +28,10 @@ class MatchingLimitError(RuntimeError):
     """The memo entry cap was exceeded; raised instead of exhausting memory."""
 
 
-@dataclass(frozen=True)
-class MatchingPolynomial:
+class MatchingPolynomial(namedtuple("MatchingPolynomial", "coeffs")):
     """Exact counts m_i of i-edge matchings; coeffs[0] = 1 (empty matching)."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def hosoya_index(self) -> int:

@@ -9,7 +9,6 @@ corrupt them.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import operator
 import time
@@ -199,7 +198,7 @@ def compare(k: int, p: int, *, include_index: bool = True) -> dict:
         "degrees": _degree_block(graph, part),
         "edge_kind_counts": klass.kind_counts(),
         "edge_pattern_counts": klass.pattern_counts(),
-        "structure_theorem": dataclasses.asdict(struct),
+        "structure_theorem": struct._asdict(),
         "matching_polynomial": poly_val,
         "hosoya_index": index_val,
         "index_skipped": not include_index,
@@ -340,7 +339,10 @@ def render_report(doc: dict) -> str:
             separator = "," + inner
         out(newline + "]")
 
-    write(doc, "\n")
+    try:
+        write(doc, "\n")
+    finally:
+        del write, write_rows  # the two closures hold each other: break the cycle
     out("\n")
     return "".join(chunks)
 

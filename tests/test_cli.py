@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -8,8 +9,10 @@ from contextlib import redirect_stdout
 
 import pytest
 
+import powg
 from conftest import cayley_text, oracle_groups
-from powg import element_order, telephone_number
+from powg import GroupError, build_power_graph, element_order, export, load_cayley_table, \
+    telephone_number
 from powg.cli import main
 from powg.report import jsonable, strip_timings
 
@@ -247,3 +250,48 @@ def test_cayley_file_with_byte_order_mark(tmp_path, capsys):
             assert main([a.format(path) for a in argv]) == 0
             outs.append(capsys.readouterr())
         assert outs[0] == outs[1] and outs[0].err == "", argv
+
+
+def test_cayley_file_keeps_a_lone_carriage_return_in_a_label(tmp_path, capsys):
+    # only LF ends a line, in the CLI as in load_cayley_table
+    text = "2\n0 1\n1 0\nlabel 0 a\rb\n"
+    path = tmp_path / "label.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert load_cayley_table(text).labels == ("a\rb", "1")
+    assert main(["graph", "--cayley", str(path), "--format", "dot"]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert out.out == export(build_power_graph(load_cayley_table(text)), "dot")
+    assert '"a\rb" -- "1";' in out.out
+
+
+def test_cayley_file_does_not_split_a_row_at_a_lone_carriage_return(tmp_path, capsys):
+    text = "2\n0 1\r1 0\n"
+    path = tmp_path / "rows.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(GroupError, match="^expected 2 table rows, found 1$"):
+        load_cayley_table(text)
+    assert main(["group", "--cayley", str(path), "info"]) == 2
+    assert capsys.readouterr() == ("", "powg: invalid input: expected 2 table rows, found 1\n")
+
+
+# Runs commands through main in a python -S interpreter, then names the
+# modules of that list which the import or any command loaded.
+FOOTPRINT_PROBE = """\
+import os, sys
+sys.path.insert(0, sys.argv[1])
+from powg.cli import main
+for argv in (["verify", "--k", "2", "--p", "3", "--out", os.devnull],
+             ["invariant", "rs-hosoya", "--cyclic", "12"],
+             ["group", "--cyclic", "8", "info"]):
+    assert main(argv) == 0, argv
+print("loaded:", sorted({"dataclasses", "inspect", "ast", "dis", "pathlib"} & set(sys.modules)))
+"""
+
+
+def test_commands_load_no_dataclasses_inspect_or_pathlib():
+    src = os.path.dirname(os.path.dirname(powg.__file__))
+    res = subprocess.run([sys.executable, "-S", "-c", FOOTPRINT_PROBE, src],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "loaded: []"

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from powg import (
@@ -266,7 +264,7 @@ def test_removed_pair_edge_lowers_the_pair_count():
 def test_pair_member_in_h2_is_not_disjoint():
     graph, part = family_graph(2, 3)
     (y, _), *rest = part.partner_pairs
-    bad_part = dataclasses.replace(part, partner_pairs=((y, min(part.h2)), *rest))
+    bad_part = part._replace(partner_pairs=((y, min(part.h2)), *rest))
     rep = verify_structure_theorem(graph, bad_part)
     assert not rep.disjoint_ok and not rep.ok
 

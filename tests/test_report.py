@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -171,6 +172,31 @@ def test_render_report_record_lists_match_json_oracle(doc):
 def test_render_report_ladder_matches_json_oracle():
     doc = strip_timings(verify_cases([2, 3, 4, 5, 6], [3, 5, 7], skip_index_above=24))
     assert render_report(doc) == json_oracle(doc)
+
+
+def test_render_report_leaves_no_garbage():
+    doc = verify_cases([2], [3])
+    gc.collect()
+    gc.disable()
+    try:
+        text = render_report(doc)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
+    assert text == json_oracle(doc)
+
+
+def test_no_record_reaches_a_report_document():
+    # the records are named tuples, which the writer would take for lists
+    def containers(value):
+        if isinstance(value, (dict, list, tuple)):
+            yield value
+            for item in (value.values() if isinstance(value, dict) else value):
+                yield from containers(item)
+
+    doc = verify_cases([2, 3], [3, 5], skip_index_above=40)
+    assert {type(c) for c in containers(doc)} <= {dict, list, tuple}
 
 
 @pytest.mark.parametrize("doc", [object(), {"x": [1, {2, 3}]}, {1: b"bytes"}])
