@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .distance import RationalExponentPolynomial
 from .groups import FamilyParams
-from .matching import _convolve, _k_n_row
+from .matching import _add_into, _add_universal, _convolve, _k_n_row
 
 MODES = ("printed", "corrected")
 
@@ -243,10 +243,7 @@ def family_matching_polynomial(k: int, p: int) -> list[int]:
     m = _convolve(binom, m_q)
     _add_into(m, _convolve([math.comb(q - 1, j) for j in range(q)], m_q), n_r // 2, 1)
     _add_into(m, _convolve(binom, s), 1, 1)
-    m = _add_universal(m, 2 * n_r - 1, 1)  # e joins G - e
-    while m[-1] == 0:
-        m.pop()
-    return m
+    return _add_universal(m, 2 * n_r - 1, 1)  # e joins G - e
 
 
 def _chain_matchings(xs: list[int], ys: list[int], gens: int = 0) -> list[int]:
@@ -272,20 +269,3 @@ def _chain_matchings(xs: list[int], ys: list[int], gens: int = 0) -> list[int]:
                                   _k_n_row(ny - t, "corrected")), r, t)
     return _add_universal(poly, nx + ny, gens)
 
-
-def _add_universal(poly: list[int], n: int, count: int) -> list[int]:
-    """Matching polynomial after count universal vertices join a graph on n
-    vertices, one at a time: m_i(G + w) = m_i(G) + (n - 2i + 2) m_(i-1)(G)."""
-    poly = list(poly)
-    for size in range(n, n + count):
-        poly.append(0)
-        for i in range(len(poly) - 1, 0, -1):
-            poly[i] += (size - 2 * i + 2) * poly[i - 1]
-    return poly
-
-
-def _add_into(total: list[int], row: list[int], weight: int, shift: int = 0) -> None:
-    """total += weight * x^shift * row, extending total as needed."""
-    total.extend([0] * (len(row) + shift - len(total)))
-    for i, c in enumerate(row):
-        total[i + shift] += weight * c

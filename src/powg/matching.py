@@ -2,13 +2,13 @@
 
 matching_polynomial counts i-edge matchings for every i with MatchingEngine,
 a decomposition recursion memoized on vertex-subset bitmasks: components
-are factored, a subgraph whose complement is disconnected is the complete
-join of its parts, and any other subgraph pivots on a vertex of maximum
-degree, with neighbours of equal closed neighbourhood taken once.  The
-oracle brute_force_matchings shares none of that and enumerates every
-matching of up to 16 vertices; the tests keep a second engine, memoized on
-closed-twin class counts, in tests/oracles.py.  All counts are exact Python
-integers.
+are factored, a complete subgraph is read from the K_n row, universal
+vertices are added one at a time to the count of the rest, and any other
+subgraph pivots on a vertex of maximum degree, with neighbours of equal
+closed neighbourhood taken once.  The oracle brute_force_matchings shares
+none of that and enumerates every matching of up to 16 vertices; the tests
+keep a second engine, memoized on closed-twin class counts, in
+tests/oracles.py.  All counts are exact Python integers.
 """
 
 from __future__ import annotations
@@ -54,25 +54,25 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _join(a: list[int], na: int, b: list[int], nb: int) -> list[int]:
-    """Matching polynomial of the complete join of a graph with polynomial a
-    on na vertices and one with polynomial b on nb vertices.  A matching with
-    i edges inside the first, j inside the second and t across pairs t of
-    the f1 = na - 2i free vertices on one side with t of the f2 = nb - 2j on
-    the other, in C(f1, t) C(f2, t) t! ways; that weight is kept as a running
-    product over t, and every division in it is exact."""
-    out = [0] * ((na + nb) // 2 + 1)
-    for i, ai in enumerate(a):
-        f1 = na - 2 * i
-        for j, bj in enumerate(b):
-            f2 = nb - 2 * j
-            w = ai * bj
-            for t in range(min(f1, f2) + 1):
-                out[i + j + t] += w
-                w = w * (f1 - t) * (f2 - t) // (t + 1)
-    while out[-1] == 0:
-        out.pop()
-    return out
+def _add_universal(poly: list[int], n: int, count: int) -> list[int]:
+    """Matching polynomial after count universal vertices join a graph on n
+    vertices, one at a time: m_i(G + w) = m_i(G) + (n - 2i + 2) m_(i-1)(G).
+    Trailing zero coefficients are dropped."""
+    poly = list(poly)
+    for size in range(n, n + count):
+        poly.append(0)
+        for i in range(len(poly) - 1, 0, -1):
+            poly[i] += (size - 2 * i + 2) * poly[i - 1]
+    while poly[-1] == 0:
+        poly.pop()
+    return poly
+
+
+def _add_into(total: list[int], row: list[int], weight: int, shift: int = 0) -> None:
+    """total += weight * x^shift * row, extending total as needed."""
+    total.extend([0] * (len(row) + shift - len(total)))
+    for i, c in enumerate(row):
+        total[i + shift] += weight * c
 
 
 class MatchingEngine:
@@ -80,14 +80,15 @@ class MatchingEngine:
 
     Every connected subgraph of two or more vertices is memoized on its
     vertex mask and solved by the first rule that holds on it:
-    - join: its complement is disconnected, so it is the complete join of
-      the complement's components; single complement vertices are universal
-      and together form one K_r, read from the closed-form row;
+    - complete: every vertex is universal, so it is K_n, read from the
+      closed-form row;
+    - universal: r vertices see every other vertex; the rest is solved on
+      its own and the r vertices are added one at a time (_add_universal);
     - pivot: a vertex v of maximum degree is unmatched, or matched to a
       neighbour u.  Neighbours with equal closed neighbourhoods are twins, so
       removing v and either one leaves isomorphic graphs: each such group is
       one subproblem weighted by its size.
-    Both rules are checked on the live subgraph, so the engine is exact on
+    Every rule is checked on the live subgraph, so the engine is exact on
     any graph.  The memo lives for a single run and holds at most MEMO_LIMIT
     entries.
     """
@@ -96,8 +97,6 @@ class MatchingEngine:
         self.graph = graph
         self.memo: dict[int, list[int]] = {}
         self.calls = 0
-        # complement rows: ~adj[v] & mask is mask minus v's neighbours
-        self.co_adj = tuple(~row for row in graph.adj)
 
     def run(self) -> MatchingPolynomial:
         try:
@@ -123,15 +122,18 @@ class MatchingEngine:
         if total is not None:
             return total
         self.calls += 1
-        parts = _components(self.co_adj, cmask)
-        if len(parts) > 1:
-            size = sum(1 for part in parts if part & (part - 1) == 0)
-            total = list(_k_n_row(size, "corrected"))
-            for part in parts:
-                if part & (part - 1):
-                    n = part.bit_count()
-                    total = _join(total, size, self._poly(part), n)
-                    size += n
+        adj = self.graph.adj
+        # the vertices whose closed neighbourhood holds all of cmask
+        universal = m = cmask
+        while m and universal:
+            low = m & -m
+            universal &= adj[low.bit_length() - 1] | low
+            m ^= low
+        if universal == cmask:
+            total = list(_k_n_row(cmask.bit_count(), "corrected"))
+        elif universal:
+            rest = cmask ^ universal
+            total = _add_universal(self._poly(rest), rest.bit_count(), universal.bit_count())
         else:
             total = self._pivot_poly(cmask)
         if len(self.memo) >= MEMO_LIMIT:
@@ -163,11 +165,7 @@ class MatchingEngine:
             group[1] += 1
             nbrs ^= low
         for low, weight in groups.values():
-            sub = self._poly(rest ^ low)
-            if len(total) < len(sub) + 1:
-                total = total + [0] * (len(sub) + 1 - len(total))
-            for i, c in enumerate(sub):
-                total[i + 1] += weight * c
+            _add_into(total, self._poly(rest ^ low), weight, 1)
         return total
 
 

@@ -62,7 +62,7 @@ def jsonable(value):
         return value
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
+    if type(value) in (list, tuple):  # a named tuple is not a JSON array
         return [jsonable(v) for v in value]
     if value is None or isinstance(value, str):
         return value
@@ -312,7 +312,7 @@ def render_report(doc: dict) -> str:
                 value = jsonable(value)  # str() keys; a collision keeps the last value
             write_rows([value], tuple(sorted(value)), newline)
             return
-        if not isinstance(value, (list, tuple)):
+        if type(value) not in (list, tuple):
             out(_scalar_text(value))
             return
         if not value:
@@ -391,7 +391,7 @@ def _scalar_text(value) -> str | None:
         return "true"
     if value is False:
         return "false"
-    if isinstance(value, (dict, list, tuple)):
+    if isinstance(value, dict) or kind in (list, tuple):
         return None
     return json.dumps(jsonable(value))
 

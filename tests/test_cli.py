@@ -64,7 +64,8 @@ def test_invariant_matching_poly():
 
 
 def test_hosoya_index_of_a_complete_power_graph_of_order_1024():
-    # P(Z_1024) is K_1024: one join of universal vertices, no deep recursion
+    # P(Z_1024) is K_1024: every vertex is universal, so the engine reads the
+    # K_n row at once, with no deep recursion
     res = run_cli(["invariant", "hosoya-index", "--cyclic", "1024"])
     assert res.returncode == 0, res.stderr
     assert res.stdout == f"{telephone_number(1024)}\n"

@@ -5,7 +5,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from powg import matching
 from powg import (
@@ -30,6 +30,13 @@ from oracles import TwinEngine
 # rendering followed by a newline, as printed by the bitmask engine
 # (max-degree pivot) before the twin engine existed
 PINNED_CYCLIC_SHA256 = "30a4a6aec55ede780259e621a9e8acfd9a3171e721a9a3cef38deab2555f0042"
+
+# MatchingEngine memo entries (equal to its subproblem count on each graph),
+# recorded while the engine still joined complement components: the
+# universal-vertex rule searches the same subproblems on power graphs
+FAMILY_MEMO_ENTRIES = {(2, 3): 12, (2, 5): 14, (2, 7): 16, (3, 3): 71, (3, 5): 206}
+CYCLIC_MEMO_ENTRIES = (0, 1, 1, 1, 1, 2, 1, 1, 1, 2, 1, 9, 1, 2, 3,
+                       1, 1, 10, 1, 22, 3, 2, 1, 59, 1, 2, 1, 44, 1, 185)  # Z_1..Z_30
 
 
 def test_small_graphs():
@@ -196,13 +203,43 @@ def test_engine_stats():
     eng = MatchingEngine(complete_graph(6))
     poly = eng.run()
     assert poly.hosoya_index == telephone_number(6)
-    # K_6 is one join of six universal vertices, read from the K_n row
+    # K_6 is complete: one subproblem, read from the K_n row
     assert eng.stats == {"memo_entries": 1, "subproblems": 1}
 
 
 def test_render():
     assert matching_polynomial(complete_graph(4)).render() == \
         "m_0=1, m_1=6, m_2=3\nZ=10"
+
+
+@st.composite
+def graphs_with_universal_vertices(draw):
+    """A random graph on n <= 12 vertices, and the same graph with r <= 4
+    universal vertices n..n+r-1 added."""
+    n = draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=14)) if pairs else set()
+    r = draw(st.integers(0, 4))
+    full = Graph.from_edges(n + r, sorted(
+        edges | {(u, w) for w in range(n, n + r) for u in range(w)}))
+    # keeps brute force (time proportional to the matching count) fast
+    assume(math.prod(full.degree(v) + 1 for v in range(n + r)) <= 10 ** 12)
+    return Graph.from_edges(n, sorted(edges)), full, r
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_with_universal_vertices())
+def test_universal_adds_match_brute_force(case):
+    base, full, r = case
+    expected = brute_force_matchings(full)
+    added = matching._add_universal(list(brute_force_matchings(base).coeffs), base.n, r)
+    assert tuple(added) == expected.coeffs
+    assert MatchingEngine(full).run() == expected
+
+
+def test_universal_adds_build_the_complete_graph_rows():
+    for n in range(61):
+        assert matching._add_universal([1], 0, n) == list(matching._k_n_row(n, "corrected"))
 
 
 def _cliques(*ranges):
@@ -267,20 +304,28 @@ def test_twin_engine_matches_brute_force_on_clique_blow_ups(g):
 
 @settings(max_examples=400, deadline=None)
 @given(clique_blow_ups())
+# complements with two or more parts of several vertices: two triangles
+# (K_{3,3}) and three edges (K_{2,2,2}); the pivot takes them
+@example(Graph.from_edges(6, sorted(_cliques(range(6)) - _cliques(range(3), range(3, 6)))))
+@example(Graph.from_edges(6, sorted(_cliques(range(6)) - {(0, 1), (2, 3), (4, 5)})))
 def test_matching_engine_matches_brute_force_on_clique_blow_ups(g):
     assert MatchingEngine(g).run() == brute_force_matchings(g)
 
 
 def test_engines_agree_on_power_graphs():
     # every family case of order <= 80; the twin engine takes about 2 s at 80
-    for k, p in [(2, 3), (2, 5), (2, 7), (3, 3), (3, 5)]:
+    for (k, p), entries in FAMILY_MEMO_ENTRIES.items():
         g = build_power_graph(build_family(FamilyParams(k, p)))
-        assert MatchingEngine(g).run() == TwinEngine(g).run()
+        engine = MatchingEngine(g)
+        assert engine.run() == TwinEngine(g).run()
+        assert engine.stats == {"memo_entries": entries, "subproblems": entries}
     rendered = []
-    for n in range(1, 31):
+    for n, entries in enumerate(CYCLIC_MEMO_ENTRIES, 1):
         g = build_power_graph(build_cyclic(n))
-        poly = MatchingEngine(g).run()
+        engine = MatchingEngine(g)
+        poly = engine.run()
         assert poly == TwinEngine(g).run()
+        assert engine.stats == {"memo_entries": entries, "subproblems": entries}
         rendered.append(poly.render() + "\n")
     digest = hashlib.sha256("".join(rendered).encode("utf-8")).hexdigest()
     assert digest == PINNED_CYCLIC_SHA256

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from powg import report
+from powg import FamilyParams, MatchingPolynomial, report
 from powg.cli import main
 from powg.report import JSON_SAFE_INT, jsonable, render_report, strip_timings, verify_cases
 
@@ -199,10 +199,16 @@ def test_no_record_reaches_a_report_document():
     assert {type(c) for c in containers(doc)} <= {dict, list, tuple}
 
 
-@pytest.mark.parametrize("doc", [object(), {"x": [1, {2, 3}]}, {1: b"bytes"}])
+@pytest.mark.parametrize("doc", [
+    object(), {"x": [1, {2, 3}]}, {1: b"bytes"},
+    # records are tuple subclasses, not JSON arrays
+    {"x": FamilyParams(2, 3)}, {"x": [MatchingPolynomial((1,))]},
+])
 def test_render_report_rejects_unsupported_types(doc):
     with pytest.raises(TypeError):
         render_report(doc)
+    with pytest.raises(TypeError):
+        jsonable(doc)
 
 
 def _verify_23(tmp_path, name, *extra):
