@@ -1,13 +1,13 @@
 """Exact matching enumeration: engine, brute-force oracle, closed forms.
 
 matching_polynomial runs the decomposition engine, MatchingEngine: it
-memoizes on vertex-subset bitmasks, factors over components, joins the
-parts of a subgraph whose complement is disconnected, and otherwise pivots
-on a vertex of maximum degree.  The brute-force oracle shares none of that
-machinery.  On the family's power graph the engine is checked against
-family_matching_polynomial, which counts the same matchings by order
-arithmetic from (k, p) alone, without building the graph; `powg verify`
-runs the same cross-check on every case (demo 05).
+memoizes on vertex-subset bitmasks, factors over components, adds the
+universal vertices of a subgraph one at a time to the count of the rest,
+and otherwise pivots on a vertex of maximum degree.  The brute-force
+oracle shares none of that machinery.  On the family's power graph the
+engine is checked against family_matching_polynomial, which counts the
+same matchings by order arithmetic from (k, p) alone, without building the
+graph; `powg verify` runs the same cross-check on every case (demo 05).
 """
 
 import time

@@ -104,30 +104,10 @@ def paper_rs_hosoya(k: int, p: int, mode: str = "printed") -> RationalExponentPo
     return RationalExponentPolynomial(terms)
 
 
-def _family_ranges(params: FamilyParams) -> dict[str, range]:
-    half, quarter = params.half, params.quarter
-    return {
-        "M1": range(1, half + 1),
-        "M2": range(1, 2),
-        "M3": range(1, 3),
-        "M4": range(1, quarter + 1),
-        "M5": range(2, half + 2),
-        "M6": range(2, 3 * quarter + 1),
-        # the statement lists the order-2 term separately, then 3..quarter-1
-        "M7": range(2, quarter),
-        "M8": range(2, half + 1),
-        "M9": range(2, 3),
-        "M10": range(2, quarter + 2),
-        "M11": range(3, 3 * quarter + 1),
-        "M12": range(3, 3 * quarter + 1),
-        "M13": range(3, quarter + 2),
-        "M14": range(3, half + 2),
-        "M15": range(4, 3 * quarter + 1),
-    }
-
-
-def _family_counts(params: FamilyParams, mode: str) -> dict[str, Callable[[int], int]]:
-    """The count expression M_family^i of every family, exactly as displayed.
+def _family_table(params: FamilyParams,
+                  mode: str) -> dict[str, tuple[range, Callable[[int], int]]]:
+    """The stated order range and count expression M_family^i of every
+    family, exactly as displayed, in the order M1..M15.
 
     T(m) is the tabled K_m row and B(l) the row of C(l, j); both have index 0
     set to 0, so each nested sum over j of T(m, j) C(l, i - j) with j >= 1 and
@@ -154,30 +134,32 @@ def _family_counts(params: FamilyParams, mode: str) -> dict[str, Callable[[int],
     m15 = conv(t_n2, n - 1, quarter)
     pairs = half * (half - 1) // 2
     return {
-        "M1": lambda i: t_n[i],
-        "M2": lambda i: half,
-        "M3": lambda i: n if i == 1 else half * (half - 1),
-        "M4": lambda i: math.comb(quarter, i),
+        "M1": (range(1, half + 1), lambda i: t_n[i]),
+        "M2": (range(1, 2), lambda i: half),
+        "M3": (range(1, 3), lambda i: n if i == 1 else half * (half - 1)),
+        "M4": (range(1, quarter + 1), lambda i: math.comb(quarter, i)),
         # the second summand's 1/(i-2) factor is undefined at i = 2, where
         # T(n-2)[0] = 0 makes it contribute 0 (the row carries a note)
-        "M5": lambda i: n * at(t_n1, i - 1) + pairs * t_n2[i - 2],
-        "M6": lambda i: m6[i],
-        "M7": lambda i: n * (quarter - 1) if i == 2 else (
+        "M5": (range(2, half + 2), lambda i: n * at(t_n1, i - 1) + pairs * t_n2[i - 2]),
+        "M6": (range(2, 3 * quarter + 1), lambda i: m6[i]),
+        # the statement lists the order-2 term separately, then 3..quarter-1
+        "M7": (range(2, quarter), lambda i: n * (quarter - 1) if i == 2 else (
             n * math.comb(quarter - 1, i - 1) + 2 * quarter * math.comb(quarter - 1, i - 2)
-            + half * (half - 2) * math.comb(quarter - 2, i - 2)),
-        "M8": lambda i: half * t_n1[i - 1],
-        "M9": lambda i: half * half,
-        "M10": lambda i: half * math.comb(quarter, i - 1),
+            + half * (half - 2) * math.comb(quarter - 2, i - 2))),
+        "M8": (range(2, half + 1), lambda i: half * t_n1[i - 1]),
+        "M9": (range(2, 3), lambda i: half * half),
+        "M10": (range(2, quarter + 2), lambda i: half * math.comb(quarter, i - 1)),
         # the top order 3q is printed with the last summand alone; the middle
         # one is half T(n-2, half-1) there, not zero, so the omission changes
         # the count and is reproduced as displayed
-        "M11": lambda i: (n * at(m11_n, i - 1)
-                          + (half * m11_p[i - 2] if i < 3 * quarter else 0)
-                          + half * (half - 1) * at(m11_q, i - 2)),
-        "M12": lambda i: half * m12[i - 1],
-        "M13": lambda i: half * half * math.comb(quarter - 1, i - 2),
-        "M14": lambda i: half * n * t_n2[i - 2],
-        "M15": lambda i: half * n * m15[i - 2],
+        "M11": (range(3, 3 * quarter + 1), lambda i: (
+            n * at(m11_n, i - 1)
+            + (half * m11_p[i - 2] if i < 3 * quarter else 0)
+            + half * (half - 1) * at(m11_q, i - 2))),
+        "M12": (range(3, 3 * quarter + 1), lambda i: half * m12[i - 1]),
+        "M13": (range(3, quarter + 2), lambda i: half * half * math.comb(quarter - 1, i - 2)),
+        "M14": (range(3, half + 2), lambda i: half * n * t_n2[i - 2]),
+        "M15": (range(4, 3 * quarter + 1), lambda i: half * n * m15[i - 2]),
     }
 
 
@@ -205,11 +187,9 @@ def paper_hosoya_index(k: int, p: int, mode: str = "printed") -> tuple[int, list
     order 2), in that order."""
     _check_mode(mode)
     params = FamilyParams(k, p)
-    ranges, counts = _family_ranges(params), _family_counts(params, mode)
-    rows = [{"family": family, "order": i, "count": counts[family](i), "note": None}
-            for family in FAMILY_TAGS for i in ranges[family]]
-    m5 = sum(len(ranges[family]) for family in FAMILY_TAGS[:4])  # M5 starts at order 2
-    rows[m5]["note"] = M5_ORDER_2_NOTE
+    rows = [{"family": family, "order": i, "count": count(i),
+             "note": M5_ORDER_2_NOTE if (family, i) == ("M5", 2) else None}
+            for family, (orders, count) in _family_table(params, mode).items() for i in orders]
     total = 1 + sum(row["count"] for row in rows)
     return total, rows
 
@@ -221,28 +201,23 @@ def family_matching_polynomial(k: int, p: int) -> list[int]:
 
     With N = 2^k p: e is universal, the N/2 involutions s r^(2j) hang at e,
     and the N/4 pairs {y, y^3} of order 4 are K2s joined to u = r^(N/2).
-    Q = P(Z_N) - {e, u} is the phi(N) generators joined to two cliques: X
-    holds the orders 2^a (a >= 2), Y the orders p 2^b (b < k), and p 2^b
-    sees 2^a when a <= b.  Expand at u, which sees the even orders of Q.
+    P(Z_N) - e is the phi(N) generators joined to two cliques: X holds the
+    orders 2^a (a >= 1), Y the orders p 2^b (b < k), and p 2^b sees 2^a when
+    a <= b.  u has order 2, so it is X level 1 and the pairs are all of G - e
+    outside the chain: u is matched to none of the N/2 pair vertices, leaving
+    P(Z_N) - e, or to one of them, leaving P(Z_N) - {e, u}.
     """
     params = FamilyParams(k, p)
     n_r, q = params.n_r, params.quarter
     phi2 = [1] + [1 << (a - 1) for a in range(1, k + 1)]  # phi(2^a)
     gens = phi2[k] * (p - 1)  # phi(N)
-    xs = [0, 0] + phi2[2:]  # X level a: the elements of order 2^a
     ys = [phi2[b] * (p - 1) for b in range(k)]  # Y level b: order p 2^b
-    m_q = _chain_matchings(xs, ys, gens)
-    # the sum of m(Q - w) over the neighbours w of u, one term per order
-    s = [gens * c for c in _chain_matchings(xs, ys, gens - 1)]
-    for a in range(2, k + 1):
-        _add_into(s, _chain_matchings([c - (j == a) for j, c in enumerate(xs)], ys, gens), xs[a])
-    for b in range(1, k):
-        _add_into(s, _chain_matchings(xs, [c - (j == b) for j, c in enumerate(ys)], gens), ys[b])
-    # u unmatched, matched to one of the N/2 pair vertices, or matched into Q
-    binom = [math.comb(q, j) for j in range(q + 1)]
-    m = _convolve(binom, m_q)
-    _add_into(m, _convolve([math.comb(q - 1, j) for j in range(q)], m_q), n_r // 2, 1)
-    _add_into(m, _convolve(binom, s), 1, 1)
+    # X level a: the elements of order 2^a, without e, with and without u
+    with_u = _chain_matchings([0, *phi2[1:]], ys, gens)
+    without_u = _chain_matchings([0, 0, *phi2[2:]], ys, gens)
+    # a pair that u is not matched into is unmatched or matched along its edge
+    m = _convolve([math.comb(q, j) for j in range(q + 1)], with_u)
+    _add_into(m, _convolve([math.comb(q - 1, j) for j in range(q)], without_u), n_r // 2, 1)
     return _add_universal(m, 2 * n_r - 1, 1)  # e joins G - e
 
 

@@ -245,6 +245,16 @@ def family_table_digest(cases) -> str:
     return digest.hexdigest()
 
 
+def arithmetic_count_digest(cases) -> str:
+    """sha256 over one "k p m_0 m_1 ..." line of family_matching_polynomial
+    per case."""
+    digest = hashlib.sha256()
+    for k, p in cases:
+        line = f"{k} {p} {' '.join(map(str, family_matching_polynomial(k, p)))}\n"
+        digest.update(line.encode("utf-8"))
+    return digest.hexdigest()
+
+
 # recorded from the six-convolution table, before m12 and m11_p were derived
 # by Pascal's rule; CI checks FULL_TABLE_SHA256 over every valid order
 LADDER_TABLE_SHA256 = "b796015716b7486d2f97daa034d6a62288ab8b784148b97a07798b31549c86a3"
@@ -258,9 +268,19 @@ def test_family_table_pinned_on_the_ladder():
     assert family_table_digest(LADDER) == LADDER_TABLE_SHA256
 
 
+# recorded from the count that expanded at u and evaluated the chain 2k times;
+# CI checks ARITHMETIC_FULL_SHA256 over every valid order
+ARITHMETIC_LADDER_SHA256 = "7d766d65e9a2af3e1b20539d126301a58257c1fb65e78a52405e391bc8e3d06a"
+ARITHMETIC_FULL_SHA256 = "67ec64d9637fab3e7a735efb91b7823a2da883dd781083a37812f87656a75caa"
+
+
+def test_arithmetic_count_pinned_on_the_ladder():
+    assert arithmetic_count_digest(LADDER) == ARITHMETIC_LADDER_SHA256
+
+
 @pytest.mark.parametrize("k,p", LADDER)
 def test_pascal_rows_equal_direct_convolutions(k, p):
-    # the pairs _family_counts derives: m12 from m11_n over T(n-1), and
+    # the pairs _family_table derives: m12 from m11_n over T(n-1), and
     # m11_p from m11_q over T(n-2)
     params = FamilyParams(k, p)
     for mode in MODES:
@@ -311,8 +331,6 @@ def test_chain_piece_matches_brute_force():
             continue
         xs, ys = list(levels[:3]), list(levels[3:])
         poly = _chain_matchings(xs, ys, gens)
-        while len(poly) > 1 and poly[-1] == 0:
-            poly.pop()
         assert poly == list(brute_force_matchings(_chain_graph(xs, ys, gens)).coeffs), \
             (xs, ys, gens)
         checked += 1
