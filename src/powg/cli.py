@@ -84,44 +84,59 @@ def _parse_int_list(text: str) -> list[int]:
         raise UsageError(f"expected a comma-separated integer list, got {text!r}") from None
 
 
-def build_parser() -> _Parser:
+def build_parser(command: str | None = None) -> _Parser:
+    """The powg parser, with every sub-parser, or with only the one named by
+    command.
+
+    A process runs one command, and each add_argument builds a help
+    formatter, so main builds only the sub-parser its first token names;
+    any other argv gets the full tree.  A single command's tree still names
+    all five commands in the main usage line, through the metavar.
+    """
     parser = _Parser(prog="powg", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
+    # unset for the full tree: "invalid choice" and "required" errors take it
+    metavar = None if command is None else "{" + ",".join(_DISPATCH) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    sp = sub.add_parser("group", help="group inspection")
-    _add_selection(sp)
-    sp.add_argument("action", choices=["info"])
+    if command in (None, "group"):
+        sp = sub.add_parser("group", help="group inspection")
+        _add_selection(sp)
+        sp.add_argument("action", choices=["info"])
 
-    sp = sub.add_parser("graph", help="export the power graph")
-    _add_selection(sp)
-    sp.add_argument("--format", required=True, choices=["dot", "edges"])
-    sp.add_argument("-o", "--output", metavar="FILE")
+    if command in (None, "graph"):
+        sp = sub.add_parser("graph", help="export the power graph")
+        _add_selection(sp)
+        sp.add_argument("--format", required=True, choices=["dot", "edges"])
+        sp.add_argument("-o", "--output", metavar="FILE")
 
-    sp = sub.add_parser("invariant", help="compute an invariant of the power graph")
-    sp.add_argument("which", choices=["hosoya", "rs-hosoya", "wiener",
-                                      "matching-poly", "hosoya-index"])
-    _add_selection(sp)
+    if command in (None, "invariant"):
+        sp = sub.add_parser("invariant", help="compute an invariant of the power graph")
+        sp.add_argument("which", choices=["hosoya", "rs-hosoya", "wiener",
+                                          "matching-poly", "hosoya-index"])
+        _add_selection(sp)
 
-    sp = sub.add_parser("paper", help="evaluate the published closed forms")
-    sp.add_argument("action", choices=["eval"])
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--which", required=True,
-                    choices=["hosoya", "rs-hosoya", "index", "degrees", "edge-types"])
-    sp.add_argument("--mode", choices=["printed", "corrected"], default="printed")
+    if command in (None, "paper"):
+        sp = sub.add_parser("paper", help="evaluate the published closed forms")
+        sp.add_argument("action", choices=["eval"])
+        sp.add_argument("--k", type=int, required=True)
+        sp.add_argument("--p", type=int, required=True)
+        sp.add_argument("--which", required=True,
+                        choices=["hosoya", "rs-hosoya", "index", "degrees", "edge-types"])
+        sp.add_argument("--mode", choices=["printed", "corrected"], default="printed")
 
-    sp = sub.add_parser("verify", help="batch oracle-vs-formula verification")
-    sp.add_argument("--k", required=True, metavar="K1[,K2...]")
-    sp.add_argument("--p", required=True, metavar="P1[,P2...]")
-    sp.add_argument("--out", metavar="FILE")
-    sp.add_argument("--skip-index-above", type=int, default=DEFAULT_SKIP_INDEX_ABOVE,
-                    metavar="N",
-                    help="skip the Hosoya index (the decomposition engine and its "
-                         "arithmetic cross-check) above this graph order "
-                         "(default %(default)s)")
-    sp.add_argument("--no-cache", action="store_true",
-                    help="accepted and ignored: verify keeps no cache")
+    if command in (None, "verify"):
+        sp = sub.add_parser("verify", help="batch oracle-vs-formula verification")
+        sp.add_argument("--k", required=True, metavar="K1[,K2...]")
+        sp.add_argument("--p", required=True, metavar="P1[,P2...]")
+        sp.add_argument("--out", metavar="FILE")
+        sp.add_argument("--skip-index-above", type=int, default=DEFAULT_SKIP_INDEX_ABOVE,
+                        metavar="N",
+                        help="skip the Hosoya index (the decomposition engine and its "
+                             "arithmetic cross-check) above this graph order "
+                             "(default %(default)s)")
+        sp.add_argument("--no-cache", action="store_true",
+                        help="accepted and ignored: verify keeps no cache")
     return parser
 
 
@@ -222,7 +237,9 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv and argv[0] in _DISPATCH else None)
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:

@@ -123,10 +123,9 @@ def induced_subgraph(graph: Graph, vertices) -> Graph:
 
 
 def _components(adj, mask: int) -> list[int]:
-    """Connected components, as bitmasks, of the subgraph that the rows
-    adj (one neighbour bitmask per vertex; complement rows ~adj[v] give the
-    complement's components) induce on the vertices in mask, ordered by
-    least vertex."""
+    """Connected components, as bitmasks, of the subgraph that the
+    adjacency rows adj (one neighbour bitmask per vertex) induce on the
+    vertices in mask, ordered by least vertex."""
     comps = []
     rest = mask
     while rest:

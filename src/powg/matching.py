@@ -25,7 +25,7 @@ BRUTE_FORCE_MAX_VERTICES = 16
 
 
 class MatchingLimitError(RuntimeError):
-    """The memo entry cap was exceeded; raised instead of exhausting memory."""
+    """The memo entry cap, the recursion depth or memory ran out in a run."""
 
 
 class MatchingPolynomial(namedtuple("MatchingPolynomial", "coeffs")):
@@ -90,7 +90,8 @@ class MatchingEngine:
       one subproblem weighted by its size.
     Every rule is checked on the live subgraph, so the engine is exact on
     any graph.  The memo lives for a single run and holds at most MEMO_LIMIT
-    entries.
+    entries; a run that exhausts memory drops it and raises
+    MatchingLimitError.
     """
 
     def __init__(self, graph: Graph):
@@ -103,6 +104,12 @@ class MatchingEngine:
         except RecursionError:  # a few frames per pivot level
             raise MatchingLimitError(
                 f"recursion depth exceeded at {self.graph.n} vertices") from None
+        except (MemoryError, SystemError):
+            # CPython 3.11 raises SystemError when it cannot allocate a
+            # frame; dropping the memo frees the room to raise and report
+            self.memo.clear()
+            raise MatchingLimitError(
+                f"memory exhausted at {self.graph.n} vertices") from None
         return MatchingPolynomial(tuple(coeffs))
 
     @property

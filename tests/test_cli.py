@@ -11,9 +11,10 @@ import pytest
 
 import powg
 from conftest import cayley_text, oracle_groups
-from powg import GroupError, build_power_graph, element_order, export, load_cayley_table, \
-    telephone_number
-from powg.cli import main
+from powg import GroupError, MatchingEngine, MatchingLimitError, build_cyclic, \
+    build_power_graph, element_order, export, load_cayley_table, telephone_number
+from powg import cli
+from powg.cli import UsageError, build_parser, main
 from powg.report import jsonable, strip_timings
 
 
@@ -203,6 +204,83 @@ def test_verify_resource_limit_exit_3(tmp_path, monkeypatch):
     rc = main(["verify", "--k", "2", "--p", "3", "--no-cache",
                        "--out", str(tmp_path / "x.json")])
     assert rc == 3
+
+
+# CPython 3.11 reports a frame it cannot allocate as this SystemError
+@pytest.mark.parametrize("error", [MemoryError(),
+                                   SystemError("error return without exception set")])
+def test_memory_exhaustion_in_the_engine_exits_3(error, tmp_path, monkeypatch, capsys):
+    real = MatchingEngine._connected_poly
+
+    def starved(self, cmask):
+        if len(self.memo) >= 3:
+            raise error
+        return real(self, cmask)
+
+    monkeypatch.setattr(MatchingEngine, "_connected_poly", starved)
+    engine = MatchingEngine(build_power_graph(build_cyclic(12)))
+    with pytest.raises(MatchingLimitError, match="^memory exhausted at 12 vertices$"):
+        engine.run()
+    assert engine.memo == {}
+    for argv, n in ((["invariant", "hosoya-index", "--cyclic", "12"], 12),
+                    (["verify", "--k", "2", "--p", "3", "--out", str(tmp_path / "r.json")], 24)):
+        assert main(argv) == 3, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.splitlines() == [f"powg: resource limit: memory exhausted at {n} vertices"]
+    assert not (tmp_path / "r.json").exists()
+
+
+# main builds the sub-parser of a command named by its first token alone;
+# every argv here must parse, print and fail as under the full tree
+PARSER_ARGV = [
+    ["group", "--cyclic", "6", "info"],
+    ["graph", "--cyclic", "4", "--format", "dot", "-o", "g.dot"],
+    ["invariant", "hosoya-index", "--family", "sdl", "--k", "2", "--p", "3"],
+    ["paper", "eval", "--k", "2", "--p", "3", "--which", "index", "--mode", "corrected"],
+    ["verify", "--k", "2,3", "--p", "3", "--skip-index-above", "0", "--no-cache"],
+    ["group", "-h"], ["graph", "-h"], ["invariant", "-h"], ["paper", "-h"], ["verify", "-h"],
+    [], ["-h"], ["--he"], ["bogus"], ["--"], ["-h", "verify"], ["verify", "verify"],
+    ["group", "--cyclic", "6"],
+    ["graph", "--cyclic", "4"],
+    ["invariant", "--cyclic", "6"],
+    ["paper", "eval", "--k", "2", "--p", "3"],
+    ["verify", "--k", "2"],
+    ["group", "--cyclic", "6", "show"],
+    ["graph", "--cyclic", "4", "--format", "png"],
+    ["invariant", "diameter", "--cyclic", "6"],
+    ["paper", "eval", "--k", "2", "--p", "3", "--which", "all"],
+    ["verify", "--k", "2", "--p", "3", "--skip-index-above", "many"],
+    ["group", "--cyclic", "6", "info", "extra"],
+    ["paper", "eval", "--k", "2", "--p", "3", "--which", "index", "--k2", "4"],
+]
+
+
+def _parse_outcome(parser, argv, capsys):
+    try:
+        outcome = vars(parser.parse_args(argv))
+    except UsageError as exc:
+        outcome = ("usage error", str(exc))
+    except SystemExit as exc:
+        outcome = ("exit", exc.code)
+    return outcome, capsys.readouterr()
+
+
+def test_main_parses_every_argv_as_the_full_parser_does(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(cli, "_DISPATCH", dict.fromkeys(cli._DISPATCH, lambda args: 0))
+    built = []
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda *a: built.append((a, build_parser(*a))) or built[-1][1])
+    for argv in PARSER_ARGV:
+        built.clear()
+        main(list(argv))
+        capsys.readouterr()
+        [(args, parser)] = built
+        command = argv[0] if argv and argv[0] in cli._DISPATCH else None
+        assert args == (command,), argv
+        assert _parse_outcome(parser, argv, capsys) == \
+            _parse_outcome(build_parser(), argv, capsys), argv
 
 
 def test_main_returns_codes_in_process(tmp_path):
