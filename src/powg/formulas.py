@@ -111,27 +111,24 @@ def _family_table(params: FamilyParams,
 
     T(m) is the tabled K_m row and B(l) the row of C(l, j); both have index 0
     set to 0, so each nested sum over j of T(m, j) C(l, i - j) with j >= 1 and
-    i - j >= 1 is coefficient i of their convolution, taken once per case.
-    Four rows are convolved; the rows of m12 and m11_p follow from those of
-    m11_n and m11_q by Pascal's rule (_pascal_step).  Indexing past the end
-    of a row reads 0: K_m hosts at most m // 2 edges.
+    i - j >= 1 is coefficient i of their product, taken once per case.  The
+    five products with a whole binomial row come from one Pascal chain per
+    T row (_pascal_chain): m6 from T(n), m11_n and m12 from T(n-1), m11_q and
+    m11_p from T(n-2).  Only m15, whose row is cut off at quarter, is a
+    convolution.  Indexing past the end of a row reads 0: K_m hosts at most
+    m // 2 edges.
     """
     n, half, quarter = params.n_r, params.half, params.quarter
     t_n, t_n1, t_n2 = ([0, *_k_n_row(m, mode)[1:]] for m in (n, n - 1, n - 2))
 
-    def conv(t_row: list[int], top: int, stop: int) -> list[int]:
-        return _convolve(t_row, [0] + [math.comb(top, j) for j in range(1, stop)])
-
     def at(row: list[int], i: int) -> int:
         return row[i] if i < len(row) else 0
 
-    m6 = conv(t_n, quarter, quarter + 1)
-    m11_n = conv(t_n1, quarter - 1, quarter)
-    m11_q = conv(t_n2, quarter - 2, quarter - 1)
-    m11_p = _pascal_step(m11_q, t_n2)  # conv(t_n2, quarter - 1, quarter)
-    m12 = _pascal_step(m11_n, t_n1)  # conv(t_n1, quarter, quarter + 1)
+    (m6,) = _pascal_chain(t_n, quarter)
+    m11_n, m12 = _pascal_chain(t_n1, quarter - 1, quarter)
+    m11_q, m11_p = _pascal_chain(t_n2, quarter - 2, quarter - 1)
     # printed as C(2^k p - 1, m) but cut off beyond quarter - 1
-    m15 = conv(t_n2, n - 1, quarter)
+    m15 = _convolve(t_n2, [0] + [math.comb(n - 1, j) for j in range(1, quarter)])
     pairs = half * (half - 1) // 2
     return {
         "M1": (range(1, half + 1), lambda i: t_n[i]),
@@ -163,14 +160,19 @@ def _family_table(params: FamilyParams,
     }
 
 
-def _pascal_step(row: list[int], t_row: list[int]) -> list[int]:
-    """conv(T, B(l + 1)) from row = conv(T, B(l)), where B(l) is the full
-    binomial row with index 0 set to 0: C(l + 1, j) = C(l, j) + C(l, j - 1)
-    gives conv(T, B(l + 1)) = row + x (row + T)."""
-    shifted = [0, *row]
-    for i, t in enumerate(t_row, 1):
-        shifted[i] += t
-    return list(map(operator.add, shifted, [*row, 0]))
+def _pascal_chain(t_row: list[int], *powers: int) -> list[list[int]]:
+    """conv(T, B(l)) for each of the ascending powers l, where B(l) is the
+    binomial row [0, C(l, 1), ..., C(l, l)].  B(l) is (1 + x)^l - 1, so
+    conv(T, B(l)) = T (1 + x)^l - T: the chain multiplies T by (1 + x) once
+    per power, each time as one whole-row pass of big-int additions, which
+    is cheaper than the products of a convolution."""
+    rows, row, done = [], t_row, 0
+    for power in powers:
+        for _ in range(done, power):
+            row = list(map(operator.add, [0, *row], [*row, 0]))
+        done = power
+        rows.append(list(map(operator.sub, row, t_row)) + row[len(t_row):])
+    return rows
 
 
 # the one row with a note: M5 at order 2, where T(n-2)[0] = 0 stands in for

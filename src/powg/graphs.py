@@ -5,14 +5,15 @@ the cyclic subgroup generated by the other; the identity is therefore
 adjacent to every other vertex.
 
 The family's edge classification and structure check count edges by vertex
-masks, one popcount per vertex, and never walk the edge list.  The prefix
-<r> is checked against P(Z_N) as defined on element orders: x ~ y iff
+masks, one popcount pass per edge rule, and never walk the edge list.  The
+prefix <r> is checked against P(Z_N) as defined on element orders: x ~ y iff
 o(x) | o(y) or o(y) | o(x), one row mask per divisor.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 
 from .groups import FiniteGroup, GroupPartition, cyclic_subgroups
@@ -76,7 +77,7 @@ class Graph(namedtuple("Graph", "n adj labels")):
 
     @property
     def edge_count(self) -> int:
-        return sum(self.adj[v].bit_count() for v in range(self.n)) // 2
+        return sum(map(int.bit_count, self.adj)) // 2
 
     def validate_symmetric(self) -> None:
         for u in range(self.n):
@@ -179,9 +180,10 @@ def _rule(n: int, blocks) -> list[int]:
 
 
 def _count(graph: Graph, rule: list[int]) -> int:
-    """Edges that rule selects: one popcount per vertex, at the lower end."""
-    return sum(((a & r) >> x >> 1).bit_count()
-               for x, (a, r) in enumerate(zip(graph.adj, rule)) if r)
+    """Edges that rule selects: one popcount pass over adj[x] & rule[x].
+    Every rule is symmetric, as the adjacency is, so each edge is seen from
+    both of its ends and the sum is halved."""
+    return sum(map(int.bit_count, map(operator.and_, graph.adj, rule))) // 2
 
 
 class EdgeClassification(namedtuple("EdgeClassification", "graph blocks counts")):

@@ -259,12 +259,13 @@ def render_report(doc: dict) -> str:
     the converted copy and without the pure-Python encoder that json uses
     whenever indent is set.  It streams into one chunk list, joined once.
 
-    A dict is written as a list of one row.  A list of plain dicts that share
-    one str-key insertion order, such as the family table, is written column
-    by column: an all-str column is escaped by one map, an all-int column is
-    converted by one map (ints beyond 2^53 are then quoted), and the rows come
-    from one %-template per (key order, indentation).  The templates live in
-    this call only: rs_hosoya_terms has different keys in every case.
+    A dict is written as a list of one row, value by value.  A list of plain
+    dicts that share one str-key insertion order, such as the family table,
+    is written column by column: an all-str column is escaped by one map, an
+    all-int column is converted by one map (ints beyond 2^53 are then
+    quoted).  Either way the rows come from one %-template per (key order,
+    indentation).  The templates live in this call only: rs_hosoya_terms has
+    different keys in every case.
     """
     chunks: list[str] = []
     out = chunks.append
@@ -284,7 +285,10 @@ def render_report(doc: dict) -> str:
     def write_rows(rows, keys: tuple, newline: str) -> None:
         """Append dicts that share the sorted str keys, one per line break."""
         heads, template = layout(keys, newline)
-        columns = [_column_texts(list(map(operator.itemgetter(key), rows))) for key in keys]
+        if len(rows) == 1:  # a dict: each value is written on its own
+            columns = [[text] for text in map(_scalar_text, map(rows[0].__getitem__, keys))]
+        else:
+            columns = [_column_texts(list(map(operator.itemgetter(key), rows))) for key in keys]
         separator = "," + newline
         if not any(None in column for column in columns):
             out(separator.join(map(template.__mod__, zip(*columns))))

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from powg import (
     FamilyParams,
@@ -22,7 +23,7 @@ from powg.formulas import (
     FAMILY_TAGS,
     MODES,
     _chain_matchings,
-    _pascal_step,
+    _pascal_chain,
     family_matching_polynomial,
 )
 from powg.groups import MAX_ORDER, _is_odd_prime
@@ -278,17 +279,30 @@ def test_arithmetic_count_pinned_on_the_ladder():
     assert arithmetic_count_digest(LADDER) == ARITHMETIC_LADDER_SHA256
 
 
+def binomial_product(t_row, power):
+    """conv(T, B(l)) by a direct convolution, B(l) = [0, C(l, 1), ..., C(l, l)]."""
+    return _convolve(t_row, [0] + [math.comb(power, j) for j in range(1, power + 1)])
+
+
 @pytest.mark.parametrize("k,p", LADDER)
 def test_pascal_rows_equal_direct_convolutions(k, p):
-    # the pairs _family_table derives: m12 from m11_n over T(n-1), and
-    # m11_p from m11_q over T(n-2)
+    # the five rows _family_table takes from Pascal chains: m6 over T(n),
+    # m11_n and m12 over T(n-1), m11_q and m11_p over T(n-2)
     params = FamilyParams(k, p)
+    n, q = params.n_r, params.quarter
     for mode in MODES:
-        for m, top in ((params.n_r - 1, params.quarter - 1), (params.n_r - 2, params.quarter - 2)):
+        for m, powers in ((n, (q,)), (n - 1, (q - 1, q)), (n - 2, (q - 2, q - 1))):
             t_row = [0, *_k_n_row(m, mode)[1:]]
-            row = _convolve(t_row, [0] + [math.comb(top, j) for j in range(1, top + 1)])
-            direct = _convolve(t_row, [0] + [math.comb(top + 1, j) for j in range(1, top + 2)])
-            assert _pascal_step(row, t_row) == direct, (m, top, mode)
+            expected = [binomial_product(t_row, power) for power in powers]
+            assert _pascal_chain(t_row, *powers) == expected, (m, powers, mode)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 10 ** 30), min_size=1, max_size=12),
+       st.lists(st.integers(0, 6), min_size=1, max_size=4))
+def test_pascal_chain_on_random_rows(t_row, powers):
+    powers.sort()
+    assert _pascal_chain(t_row, *powers) == [binomial_product(t_row, power) for power in powers]
 
 
 def test_arithmetic_count_equals_the_engine_up_to_order_160():

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from powg import (
@@ -17,8 +19,9 @@ from powg import (
 from powg.graphs import EDGE_KINDS, EDGE_PATTERN_TAGS, _order_divisibility_rows
 from conftest import complete_graph, oracle_groups
 
-# n_r = 2^k p of the 15-case ladder, k = 2..6 and p = 3, 5, 7
-LADDER_N_R = sorted({2 ** k * p for k in range(2, 7) for p in (3, 5, 7)})
+# the 15-case ladder, k = 2..6 and p = 3, 5, 7, and its n_r = 2^k p
+LADDER = [(k, p) for k in range(2, 7) for p in (3, 5, 7)]
+LADDER_N_R = sorted({2 ** k * p for k, p in LADDER})
 
 
 def is_prime_power(n: int) -> bool:
@@ -221,6 +224,33 @@ def test_classify_counts_match_edge_loop(k, p):
     assert cls.kind_counts() == {kind: len(v) for kind, v in kinds.items()}
     assert cls.pattern_edges == patterns
     assert cls.kind_edges == kinds
+
+
+def classification_digest(cases) -> str:
+    """sha256 over a "k p" line, one "name count" line per classify_edges
+    count and one "field value" line per verify_structure_theorem field,
+    for every case."""
+    digest = hashlib.sha256()
+    for k, p in cases:
+        graph, part = family_graph(k, p)
+        digest.update(f"{k} {p}\n".encode("utf-8"))
+        for name, count in sorted(classify_edges(graph, part).counts.items()):
+            digest.update(f"{name} {count}\n".encode("utf-8"))
+        rep = verify_structure_theorem(graph, part)
+        for field, value in zip(rep._fields, rep):
+            digest.update(f"{field} {value}\n".encode("utf-8"))
+    return digest.hexdigest()
+
+
+# recorded from the per-vertex shifted popcounts, before the counts became
+# one popcount pass per rule; CI checks CLASSIFICATION_FULL_SHA256 over
+# every valid order
+CLASSIFICATION_LADDER_SHA256 = "923b806391b1ed8555b9e2c5fcc420365a9d8ec73aab6258c154daaa04c61615"
+CLASSIFICATION_FULL_SHA256 = "a3e556a3915527c6d5bac760eaa3dffd5dfea57a79f15c99b8dc903a5a2a9801"
+
+
+def test_classification_pinned_on_the_ladder():
+    assert classification_digest(LADDER) == CLASSIFICATION_LADDER_SHA256
 
 
 def test_order_divisibility_rows_are_cyclic_power_graphs():
