@@ -19,7 +19,7 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import zip_longest
 
-from .graphs import Graph
+from .graphs import Graph, _mask, _ordered
 
 
 class DistanceDistribution(namedtuple("DistanceDistribution", "counts unreachable_pairs")):
@@ -78,22 +78,32 @@ class DistanceProfile(namedtuple("DistanceProfile", "graph layers")):
     def rs_polynomial(self) -> RationalExponentPolynomial:
         """Sum of x^(rs(v) + rs(w)) over all edges vw; graph must be connected.
         Summed on the integer scale lcm(1..diam): one Fraction per exponent.
-        The vertices fall into classes of equal status; the edges between two
-        classes are counted by ANDing one class's mask into the adjacency
-        rows of the other, one C-level pass per class pair."""
-        if any(sum(sizes) != self.graph.n for sizes in self.layers):
+        The status is computed once per distinct layer tuple, and the
+        vertices are grouped by status value: distinct tuples can share one.
+        Each unordered pair of classes is counted once, by one C-level
+        popcount pass over the rows of the smaller class ANDed with the
+        other's mask.  That sees an edge across two classes once and an
+        edge inside one class from both ends, so the cross counts are
+        doubled and every count halved."""
+        n, adj = self.graph.n, self.graph.adj
+        by_layers: dict[tuple[int, ...], list[int]] = {}
+        for v, sizes in enumerate(self.layers):
+            by_layers.setdefault(sizes, []).append(v)
+        if any(sum(sizes) != n for sizes in by_layers):
             raise ValueError("graph is disconnected: reciprocal status is undefined")
-        scale = math.lcm(*range(1, max(map(len, self.layers), default=1)))
-        rs = [sum(c * (scale // d) for d, c in enumerate(sizes) if d) for sizes in self.layers]
-        masks: dict[int, int] = {}  # rs value -> mask of the vertices that have it
-        rows: dict[int, list[int]] = {}  # rs value -> adjacency rows of those vertices
-        for v, (value, row) in enumerate(zip(rs, self.graph.adj)):
-            masks[value] = masks.get(value, 0) | 1 << v
-            rows.setdefault(value, []).append(row)
-        terms: Counter = Counter()  # every edge is seen from both ends
-        for value, class_rows in rows.items():
-            for other, mask in masks.items():
-                terms[value + other] += sum(map(int.bit_count, map(mask.__and__, class_rows)))
+        scale = math.lcm(*range(1, max(map(len, by_layers), default=1)))
+        by_status: dict[int, list[int]] = {}  # scaled status -> the vertices that have it
+        for sizes, vertices in by_layers.items():
+            value = sum(c * (scale // d) for d, c in enumerate(sizes) if d)
+            by_status.setdefault(value, []).extend(vertices)
+        classes = [(value, vertices, _mask(vertices)) for value, vertices in by_status.items()]
+        terms: Counter = Counter()
+        for i, (a, a_vertices, a_mask) in enumerate(classes):
+            terms[2 * a] += _ordered(adj, a_vertices, a_mask)
+            for b, b_vertices, b_mask in classes[i + 1:]:
+                rows, mask = ((b_vertices, a_mask) if len(b_vertices) < len(a_vertices)
+                              else (a_vertices, b_mask))
+                terms[a + b] += 2 * _ordered(adj, rows, mask)
         return RationalExponentPolynomial(  # descending already, so the sort is one pass
             {Fraction(e, scale): c // 2 for e, c in sorted(terms.items(), reverse=True) if c})
 

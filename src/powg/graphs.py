@@ -4,16 +4,17 @@ The power graph of a finite group joins distinct x, y whenever one lies in
 the cyclic subgroup generated by the other; the identity is therefore
 adjacent to every other vertex.
 
-The family's edge classification and structure check count edges by vertex
-masks, one popcount pass per edge rule, and never walk the edge list.  The
-prefix <r> is checked against P(Z_N) as defined on element orders: x ~ y iff
-o(x) | o(y) or o(y) | o(x), one row mask per divisor.
+The family's edge classification and structure check count the edges
+between two vertex classes of the partition by one popcount pass over the
+adjacency rows of one class, ANDed with the other class's mask; they build
+no per-vertex rule and never walk the edge list.  The prefix <r> is checked
+against P(Z_N) as defined on element orders: x ~ y iff o(x) | o(y) or
+o(y) | o(x), one row mask per divisor.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from collections import namedtuple
 
 from .groups import FiniteGroup, GroupPartition, cyclic_subgroups
@@ -163,27 +164,36 @@ def degree_histogram(graph: Graph) -> dict[int, int]:
 
 
 def _mask(vertices) -> int:
-    return sum(1 << v for v in set(vertices))
+    """Bitmask of a vertex set; repeats are dropped first."""
+    return sum(map((1).__lshift__, set(vertices)))
 
 
-def _rule(n: int, blocks) -> list[int]:
-    """Edge rule: rule[x] masks the vertices that x may be joined to, so the
-    rule selects the edges between s and t for each (s, t) in blocks."""
-    rule = [0] * n
-    for s, t in blocks:
-        for a, b in ((s, t), (t, s)):
-            while a:
-                low = a & -a
-                rule[low.bit_length() - 1] |= b
-                a ^= low
-    return rule
+def _ordered(adj, vertices, mask: int) -> int:
+    """Ordered adjacent pairs (x, y) with x in vertices and y in mask: one
+    popcount pass over the rows of vertices, each ANDed with mask."""
+    return sum(map(int.bit_count, map(mask.__and__, map(adj.__getitem__, vertices))))
 
 
-def _count(graph: Graph, rule: list[int]) -> int:
-    """Edges that rule selects: one popcount pass over adj[x] & rule[x].
-    Every rule is symmetric, as the adjacency is, so each edge is seen from
-    both of its ends and the sum is halved."""
-    return sum(map(int.bit_count, map(operator.and_, graph.adj, rule))) // 2
+def _between(adj, s, t) -> int:
+    """Edges with one end in s and the other in t, for vertex classes given
+    as (vertices, mask) pairs, overlapping or not: O(s, t) - E(s & t).  The
+    ordered count O(s, t) from the rows of s sees each edge inside s & t
+    from both ends, so the E(s & t) edges inside it are taken off once.
+    Only the rows of s are read, so s should be the smaller class."""
+    (s_vertices, s_mask), (_, t_mask) = s, t
+    ordered = _ordered(adj, s_vertices, t_mask)
+    both = s_mask & t_mask
+    if both == s_mask == t_mask:  # s = t: that pass read the rows of s & t
+        inside = ordered
+    else:
+        inner = s_vertices if both == s_mask else [x for x in s_vertices if both >> x & 1]
+        inside = _ordered(adj, inner, both)
+    return ordered - inside // 2
+
+
+def _linked_pairs(adj, pairs) -> set[tuple[int, int]]:
+    """The listed pairs {y, z} that are edges, each once, as (min, max)."""
+    return {(y, z) if y < z else (z, y) for y, z in pairs if adj[y] >> z & 1}
 
 
 class EdgeClassification(namedtuple("EdgeClassification", "graph blocks counts")):
@@ -191,11 +201,12 @@ class EdgeClassification(namedtuple("EdgeClassification", "graph blocks counts")
 
     blocks maps each pattern tag (E1, E4..E13; E2 and E3 folded into E10
     and E6) and each of the seven kinds (eu, eh1, eh2, eh3, uh3, vw, yz) to
-    the (s, t) vertex-mask pairs of its rule; counts holds the edge counts.
-    Patterns overlap by design (E4, E5, E7, E8, E9, E12, E13 are
-    sub-patterns of E1).  The kinds are disjoint, and "unclassified" counts
-    the edges, such as u-h1, that none of them covers.  pattern_edges and
-    kind_edges list the edges on demand.
+    the (s, t) vertex-mask pairs whose s-t edges it holds; counts holds the
+    edge counts.  Patterns overlap by design (E4, E5, E7, E8, E9, E12, E13
+    are sub-patterns of E1).  The kinds are disjoint, and "unclassified"
+    counts the edges, such as u-h1, that none of them covers.
+    pattern_edges and kind_edges test each edge against the blocks, on
+    demand.
     """
 
     __slots__ = ()
@@ -217,10 +228,11 @@ class EdgeClassification(namedtuple("EdgeClassification", "graph blocks counts")
         return edges
 
     def _listed(self, names, keep: bool = True) -> tuple[tuple[int, int], ...]:
-        """Edges that the named rules select (keep=False: that none selects),
-        in edges() order."""
-        rule = _rule(self.graph.n, [st for name in names for st in self.blocks[name]])
-        return tuple((x, y) for x, y in self.graph.edges() if bool(rule[x] >> y & 1) == keep)
+        """Edges that a block of the named entries selects (keep=False: that
+        none selects), in edges() order."""
+        blocks = [st for name in names for st in self.blocks[name]]
+        return tuple((x, y) for x, y in self.graph.edges()
+                     if any((s >> x & t >> y | t >> x & s >> y) & 1 for s, t in blocks) == keep)
 
 
 def _check_order(graph: Graph, part: GroupPartition) -> None:
@@ -232,24 +244,42 @@ def _check_order(graph: Graph, part: GroupPartition) -> None:
 def classify_edges(graph: Graph, part: GroupPartition) -> EdgeClassification:
     """Classify every edge of a family power graph.
 
+    Each pattern and kind but E11 and yz is the block of edges between two
+    vertex classes taken straight from the partition: {e}, {u}, H0, H1,
+    H2, H3, the prefix <r> and <r> less e or u.  Its count is one popcount
+    pass over the rows of the smaller class ANDed with the other's mask,
+    less the edges inside their intersection (see _between).  E11 and yz
+    count the listed partner pairs that are edges, each pair once.
+
     Raises ValueError when the partition does not match the graph.
     """
     _check_order(graph, part)
-    e, u = 1, 1 << part.u
-    a1, a2, a3, a4, a5, a6, omega, h1, h2, h3 = (_mask(getattr(part, name)) for name in (
-        "a1", "a2", "a3", "a4", "a5", "a6", "omega", "h1", "h2", "h3"))
-    pairs = [(1 << y, 1 << z) for y, z in part.partner_pairs]
-    blocks = {
-        "E1": [(a1, a1)], "E4": [(a3, a3)], "E5": [(e, a3)], "E6": [(e, a2)],
-        "E7": [(a5, a5)], "E8": [(omega, omega)], "E9": [(a5, omega)],
-        "E10": [(a6, omega)], "E11": pairs, "E12": [(a4, a4)],
+    adj, n_r, u = graph.adj, part.n_r, part.u
+    prefix, e, u_bit = (1 << n_r) - 1, 1, 1 << u
+    classes = {  # (vertices, mask); A5 = <r> - H0 is H1, omega is H0, A6 is H3
+        "e": ((0,), e), "u": ((u,), u_bit),
+        "a1": (range(n_r), prefix), "a3": (range(1, n_r), prefix & ~e),
+        "a4": ([*range(u), *range(u + 1, n_r)], prefix & ~u_bit),
         # E13 as printed requires both endpoints in A4 and one equal to u,
         # but u is excluded from A4: the pattern is unsatisfiable.
-        "E13": [(a4 & u, a4)],
-        "eu": [(e, u)], "eh1": [(e, h1)], "eh2": [(e, h2)], "eh3": [(e, h3)],
-        "uh3": [(u, h3)], "vw": [(h1, h1)], "yz": pairs,
+        "a4&u": ((), 0),
+        **{name: (vs, _mask(vs)) for name, vs in (
+            ("h0", part.h0), ("h1", part.h1), ("h2", part.h2), ("h3", part.h3))},
     }
-    counts = {name: _count(graph, _rule(graph.n, b)) for name, b in blocks.items()}
+    spec = {  # name -> (s, t) class names; None: the listed partner pairs
+        "E1": ("a1", "a1"), "E4": ("a3", "a3"), "E5": ("e", "a3"), "E6": ("e", "h2"),
+        "E7": ("h1", "h1"), "E8": ("h0", "h0"), "E9": ("h0", "h1"), "E10": ("h0", "h3"),
+        "E11": None, "E12": ("a4", "a4"), "E13": ("a4&u", "a4"),
+        "eu": ("e", "u"), "eh1": ("e", "h1"), "eh2": ("e", "h2"), "eh3": ("e", "h3"),
+        "uh3": ("u", "h3"), "vw": ("h1", "h1"), "yz": None,
+    }
+    pairs = [(1 << y, 1 << z) for y, z in part.partner_pairs]
+    linked = len(_linked_pairs(adj, part.partner_pairs))
+    found = {st: _between(adj, classes[st[0]], classes[st[1]])
+             for st in dict.fromkeys(spec.values()) if st}
+    blocks = {name: [(classes[st[0]][1], classes[st[1]][1])] if st else pairs
+              for name, st in spec.items()}
+    counts = {name: found[st] if st else linked for name, st in spec.items()}
     counts["unclassified"] = graph.edge_count - sum(counts[kind] for kind in EDGE_KINDS)
     return EdgeClassification(graph, blocks, counts)
 
@@ -287,27 +317,39 @@ class StructureReport(namedtuple("StructureReport", (
 def verify_structure_theorem(graph: Graph, part: GroupPartition) -> StructureReport:
     """Verify the edge-level structure decomposition.  Failures are report
     content, never exceptions; a partition for another order raises
-    ValueError.  The prefix <r> is checked against the definition of P(Z_N)
-    on element orders, not against a second group table."""
+    ValueError.
+
+    The pieces are counted like the edge classes of classify_edges: the
+    prefix <r> from its rows ANDed with the prefix mask, the pendants as the
+    e-H2 block, and the pair edges as the {e, u}-members block plus the
+    listed pairs that touch neither e nor u.  The union is counted apart
+    from the pieces, by where an edge lies: inside <r>, or leaving it at e,
+    at u (both lie in <r>), or elsewhere, which only a listed pair covers.
+    The prefix is checked against the definition of P(Z_N) on element
+    orders, not against a second group table, by one comparison of its
+    masked rows."""
     _check_order(graph, part)
-    n_r = part.n_r
-    prefix, ends = (1 << n_r) - 1, 1 | 1 << part.u
-    members = _mask(v for pair in part.partner_pairs for v in pair)
-    pieces = [
-        [(prefix, prefix)],
-        [(1, _mask(part.h2))],  # one pendant at e per even reflection
-        [(ends, members), *((1 << y, 1 << z) for y, z in part.partner_pairs)],
-    ]
-    in_r, pendants, pair_edges = (_count(graph, _rule(graph.n, b)) for b in pieces)
-    union = _count(graph, _rule(graph.n, [st for b in pieces for st in b]))
+    adj, n_r, u = graph.adj, part.n_r, part.u
+    prefix, ends = (1 << n_r) - 1, 1 | 1 << u
+    members = {v for pair in part.partner_pairs for v in pair}
+    h2, pair_mask, outside = _mask(part.h2), _mask(members), ~prefix
+    in_prefix = tuple(map(prefix.__and__, adj[:n_r]))
+    in_r = sum(map(int.bit_count, in_prefix)) // 2
+    pendants = _between(adj, ((0,), 1), (part.h2, h2))  # one pendant at e per even reflection
+    linked = _linked_pairs(adj, part.partner_pairs)
+    apart = [(y, z) for y, z in linked if not (ends >> y & 1 or ends >> z & 1)]
+    pair_edges = _between(adj, ((0, u), ends), (members, pair_mask)) + len(apart)
+    union = (in_r + (adj[0] & (h2 | pair_mask) & outside).bit_count()
+             + (adj[u] & pair_mask & outside).bit_count()
+             + sum(z >= n_r for _, z in apart))  # y < z
     rows = _order_divisibility_rows(n_r)
-    cyclic_edges = sum(row.bit_count() for row in rows) // 2
+    cyclic_edges = sum(map(int.bit_count, rows)) // 2
     count_ok = (graph.edge_count == cyclic_edges + n_r // 2 + 5 * (n_r // 4)
                 and pendants == n_r // 2 and pair_edges == 5 * (n_r // 4))
     return StructureReport(
         edges_total=graph.edge_count, edges_in_r=in_r, pendant_count=pendants,
         pair_edge_count=pair_edges, cyclic_edge_count=cyclic_edges,
-        prefix_matches_cyclic=all(graph.adj[x] & prefix == rows[x] for x in range(n_r)),
+        prefix_matches_cyclic=in_prefix == rows,
         cover_ok=union == graph.edge_count,
         disjoint_ok=in_r + pendants + pair_edges == union,
         count_identity_ok=count_ok,

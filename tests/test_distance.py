@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -146,6 +147,23 @@ def test_rs_hosoya_family_2_3_full_terms():
     assert poly.coefficient_total() == 77
 
 
+# Found by brute force over connected graphs, fewest vertices and then fewest
+# edges first (none on 7 vertices or fewer with up to n + 3 edges): vertices 1
+# and 5 have different layer tuples but one status, and they are adjacent,
+# so one status class holds two layer tuples and an edge between them.
+EQUAL_STATUS_TREE = Graph.from_edges(8, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (5, 6), (5, 7)])
+
+
+def test_rs_classes_merge_layer_tuples_of_equal_status():
+    g = EQUAL_STATUS_TREE
+    layers = distance_profile(g).layers
+    assert layers[1] == (1, 2, 5) and layers[5] == (1, 3, 1, 3)
+    assert reciprocal_status(g, 1) == reciprocal_status(g, 5) == Fraction(9, 2)
+    check_profile_against_oracle(g)
+    assert rs_hosoya_polynomial(g).terms == {
+        Fraction(29, 3): 1, Fraction(9): 1, Fraction(17, 2): 3, Fraction(91, 12): 2}
+
+
 def test_rs_hosoya_total_equals_edge_count():
     rng = random.Random(11)
     graphs = [build_power_graph(build_cyclic(n)) for n in range(2, 16)]
@@ -191,6 +209,32 @@ def test_diameter():
 def test_polynomial_string():
     dd = hosoya_polynomial(build_power_graph(build_cyclic(6)))
     assert dd.polynomial_string() == "6 + 13x + 2x^2"
+
+
+LADDER = [(k, p) for k in range(2, 7) for p in (3, 5, 7)]
+
+
+def rs_digest(cases) -> str:
+    """sha256 over a "k p" line and one "exponent coefficient" line per term
+    of the reciprocal-status polynomial of the family power graph, for every
+    case."""
+    digest = hashlib.sha256()
+    for k, p in cases:
+        digest.update(f"{k} {p}\n".encode("utf-8"))
+        for exponent, count in rs_hosoya_polynomial(family_graph(k, p)).term_strings().items():
+            digest.update(f"{exponent} {count}\n".encode("utf-8"))
+    return digest.hexdigest()
+
+
+# recorded from the per-vertex statuses and the ordered count of every class
+# pair, before the statuses were computed once per layer tuple and each class
+# pair counted once; CI checks RS_FULL_SHA256 over every valid order
+RS_LADDER_SHA256 = "0e8595ab79d93d0e38c6c54b6c46a77fca47d254e4497117027b2a5d0983907c"
+RS_FULL_SHA256 = "e29b77b1a57d8f1212e0dcab5377ce8672459c34855e9d76062dc76b42c8d9bb"
+
+
+def test_rs_polynomial_pinned_on_the_ladder():
+    assert rs_digest(LADDER) == RS_LADDER_SHA256
 
 
 @st.composite

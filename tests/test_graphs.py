@@ -1,6 +1,8 @@
 import hashlib
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from powg import (
     FamilyParams,
@@ -16,7 +18,7 @@ from powg import (
     partition,
     verify_structure_theorem,
 )
-from powg.graphs import EDGE_KINDS, EDGE_PATTERN_TAGS, _order_divisibility_rows
+from powg.graphs import EDGE_KINDS, EDGE_PATTERN_TAGS, StructureReport, _order_divisibility_rows
 from conftest import complete_graph, oracle_groups
 
 # the 15-case ladder, k = 2..6 and p = 3, 5, 7, and its n_r = 2^k p
@@ -243,8 +245,8 @@ def classification_digest(cases) -> str:
 
 
 # recorded from the per-vertex shifted popcounts, before the counts became
-# one popcount pass per rule; CI checks CLASSIFICATION_FULL_SHA256 over
-# every valid order
+# popcount passes over vertex-class rows; CI checks CLASSIFICATION_FULL_SHA256
+# over every valid order
 CLASSIFICATION_LADDER_SHA256 = "923b806391b1ed8555b9e2c5fcc420365a9d8ec73aab6258c154daaa04c61615"
 CLASSIFICATION_FULL_SHA256 = "a3e556a3915527c6d5bac760eaa3dffd5dfea57a79f15c99b8dc903a5a2a9801"
 
@@ -272,6 +274,15 @@ def test_added_h2_edge_is_a_finding():
     assert rep.disjoint_ok and rep.prefix_matches_cyclic and not rep.ok
     before = classify_edges(graph, part).kind_counts()["unclassified"]
     assert classify_edges(bad, part).kind_counts()["unclassified"] == before + 1
+
+
+def test_added_edge_across_two_pairs_is_unclassified():
+    graph, part = family_graph(2, 3)
+    (y, _), (_, z), *_ = part.partner_pairs
+    bad = perturbed(graph, add=[(min(y, z), max(y, z))])
+    before, after = (classify_edges(g, part).kind_counts() for g in (graph, bad))
+    assert after["yz"] == before["yz"] == 3
+    assert after["unclassified"] == before["unclassified"] + 1
 
 
 def test_removed_prefix_edge_is_a_finding():
@@ -315,6 +326,91 @@ def test_classify_kind_partition_conserves_edges():
         for edges in cls.pattern_edges.values():
             pattern_union.update(edges)
         assert pattern_union == set(graph.edges())
+
+
+def structure_by_loop(graph, part):
+    """The per-edge membership test of every piece of the structure
+    decomposition, and P(Z_N) built from a group table: the oracle for
+    verify_structure_theorem."""
+    n_r, ends = part.n_r, (0, part.u)
+    pairs = {frozenset(pair) for pair in part.partner_pairs}
+    members = {v for pair in part.partner_pairs for v in pair}
+    in_r = pendants = pair_edges = union = 0
+    for x, y in graph.edges():
+        inside = x < n_r and y < n_r
+        pendant = (x == 0 and y in part.h2) or (y == 0 and x in part.h2)
+        paired = ((x in ends and y in members) or (y in ends and x in members)
+                  or {x, y} in pairs)
+        in_r += inside
+        pendants += pendant
+        pair_edges += paired
+        union += inside or pendant or paired
+    cyclic = build_power_graph(build_cyclic(n_r))
+    return StructureReport(
+        edges_total=graph.edge_count, edges_in_r=in_r, pendant_count=pendants,
+        pair_edge_count=pair_edges, cyclic_edge_count=cyclic.edge_count,
+        prefix_matches_cyclic=induced_subgraph(graph, range(n_r)).adj == cyclic.adj,
+        cover_ok=union == graph.edge_count,
+        disjoint_ok=in_r + pendants + pair_edges == union,
+        count_identity_ok=(graph.edge_count == cyclic.edge_count + n_r // 2 + 5 * (n_r // 4)
+                           and pendants == n_r // 2 and pair_edges == 5 * (n_r // 4)),
+    )
+
+
+# partner-pair lists the classes must count exactly: as listed, with a pair
+# repeated (once reversed), with a member in H2, with a pair at u and with a
+# pair inside <r>.  The last two make a pair edge also a u-h3 or an h1-h1
+# edge, so the seven kinds overlap there; classify_by_loop then gives each
+# edge its first kind, and only the patterns and the structure are compared.
+PAIR_EDITS = {
+    "listed": lambda part, pairs: pairs,
+    "repeated": lambda part, pairs: (*pairs, pairs[0], pairs[0][::-1]),
+    "h2-member": lambda part, pairs: ((pairs[0][0], min(part.h2)), *pairs[1:]),
+    "at-u": lambda part, pairs: ((part.u, pairs[0][1]), *pairs[1:]),
+    "in-prefix": lambda part, pairs: ((1, 2), *pairs[1:]),
+}
+DISJOINT_KIND_EDITS = ("listed", "repeated", "h2-member")
+
+
+@st.composite
+def family_vertex_graphs(draw):
+    """A graph on the vertex set of the family at (2,3), (2,5) or (3,3):
+    random edges, or the family graph with random edges flipped; and the
+    family's partition with an edited partner-pair list."""
+    graph, part = family_graph(*draw(st.sampled_from([(2, 3), (2, 5), (3, 3)])))
+    n = graph.n
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if draw(st.booleans()):
+        density = draw(st.floats(0.0, 1.0))
+        edges = {(x, y) for x in range(n) for y in range(x + 1, n) if rng.random() < density}
+    else:
+        flips = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(draw(st.integers(1, 30)))}
+        edges = set(graph.edges()) ^ flips
+    edit = draw(st.sampled_from(sorted(PAIR_EDITS)))
+    part = part._replace(partner_pairs=PAIR_EDITS[edit](part, part.partner_pairs))
+    return Graph.from_edges(n, sorted(edges), graph.labels), part, edit
+
+
+@settings(max_examples=150, deadline=None)
+@given(family_vertex_graphs())
+def test_classes_match_edge_loops_on_any_graph(case):
+    graph, part, edit = case
+    cls = classify_edges(graph, part)
+    patterns, kinds = classify_by_loop(graph, part)
+    assert cls.pattern_counts() == {tag: len(v) for tag, v in patterns.items()}
+    assert cls.pattern_edges == patterns
+    if edit in DISJOINT_KIND_EDITS:
+        assert cls.kind_counts() == {kind: len(v) for kind, v in kinds.items()}
+        assert cls.kind_edges == kinds
+    assert verify_structure_theorem(graph, part) == structure_by_loop(graph, part)
+
+
+@pytest.mark.parametrize("k,p", [(2, 3), (2, 5), (3, 3)])
+@pytest.mark.parametrize("edit", sorted(PAIR_EDITS))
+def test_structure_matches_edge_loop_on_family_graphs(k, p, edit):
+    graph, part = family_graph(k, p)
+    part = part._replace(partner_pairs=PAIR_EDITS[edit](part, part.partner_pairs))
+    assert verify_structure_theorem(graph, part) == structure_by_loop(graph, part)
 
 
 def test_classify_rejects_mismatched_partition():
