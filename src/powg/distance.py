@@ -78,13 +78,11 @@ class DistanceProfile(namedtuple("DistanceProfile", "graph layers")):
     def rs_polynomial(self) -> RationalExponentPolynomial:
         """Sum of x^(rs(v) + rs(w)) over all edges vw; graph must be connected.
         Summed on the integer scale lcm(1..diam): one Fraction per exponent.
-        The status is computed once per distinct layer tuple, and the
-        vertices are grouped by status value: distinct tuples can share one.
-        Each unordered pair of classes is counted once, by one C-level
-        popcount pass over the rows of the smaller class ANDed with the
-        other's mask.  That sees an edge across two classes once and an
-        edge inside one class from both ends, so the cross counts are
-        doubled and every count halved."""
+        The vertices are grouped by status, computed once per layer tuple
+        (distinct tuples can share one).  Each unordered pair of groups is
+        one popcount pass over the rows of the smaller ANDed with the other's
+        mask; it sees a cross edge once and an inner edge from both ends, so
+        the cross counts are doubled and every count halved."""
         n, adj = self.graph.n, self.graph.adj
         by_layers: dict[tuple[int, ...], list[int]] = {}
         for v, sizes in enumerate(self.layers):
@@ -104,7 +102,7 @@ class DistanceProfile(namedtuple("DistanceProfile", "graph layers")):
                 rows, mask = ((b_vertices, a_mask) if len(b_vertices) < len(a_vertices)
                               else (a_vertices, b_mask))
                 terms[a + b] += 2 * _ordered(adj, rows, mask)
-        return RationalExponentPolynomial(  # descending already, so the sort is one pass
+        return RationalExponentPolynomial(  # descending already: copied as it is
             {Fraction(e, scale): c // 2 for e, c in sorted(terms.items(), reverse=True) if c})
 
 
@@ -136,13 +134,21 @@ def reciprocal_status(graph: Graph, v: int) -> Fraction:
 
 class RationalExponentPolynomial:
     """Polynomial with exact rational exponents and positive integer
-    coefficients, used for the reciprocal-status edge polynomial."""
+    coefficients, used for the reciprocal-status edge polynomial.  Fraction
+    exponents in descending order with int coefficients, as rs_polynomial
+    gives them, are copied; other terms are coerced and sorted."""
 
     def __init__(self, terms: dict[Fraction, int]):
         for e, c in terms.items():
             if c <= 0:
                 raise ValueError(f"coefficient {c} at exponent {e} is not positive")
-        self.terms = dict(sorted(((Fraction(e), int(c)) for e, c in terms.items()), reverse=True))
+        exps = list(terms)
+        if (set(map(type, exps)) == {Fraction} and set(map(type, terms.values())) == {int}
+                and all(map(Fraction.__gt__, exps, exps[1:]))):
+            self.terms = dict(terms)
+        else:
+            self.terms = dict(sorted(((Fraction(e), int(c)) for e, c in terms.items()),
+                                     reverse=True))
 
     def coefficient_total(self) -> int:
         return sum(self.terms.values())

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Callable
 from fractions import Fraction
 
 from .distance import RationalExponentPolynomial
@@ -104,68 +103,73 @@ def paper_rs_hosoya(k: int, p: int, mode: str = "printed") -> RationalExponentPo
     return RationalExponentPolynomial(terms)
 
 
-def _family_table(params: FamilyParams,
-                  mode: str) -> dict[str, tuple[range, Callable[[int], int]]]:
-    """The stated order range and count expression M_family^i of every
-    family, exactly as displayed, in the order M1..M15.
+def _family_table(params: FamilyParams, mode: str) -> dict[str, tuple[range, list[int]]]:
+    """The stated order range and the counts M_family^i over it of every
+    family, exactly as displayed, in the order M1..M15; q is the quarter.
 
-    T(m) is the tabled K_m row and B(l) the row of C(l, j); both have index 0
-    set to 0, so each nested sum over j of T(m, j) C(l, i - j) with j >= 1 and
-    i - j >= 1 is coefficient i of their product, taken once per case.  The
-    five products with a whole binomial row come from one Pascal chain per
-    T row (_pascal_chain): m6 from T(n), m11_n and m12 from T(n-1), m11_q and
-    m11_p from T(n-2).  Only m15, whose row is cut off at quarter, is a
-    convolution.  Indexing past the end of a row reads 0: K_m hosts at most
-    m // 2 edges.
+    T(m) is the tabled K_m row and B(l) the row of C(l, j), both with index
+    0 set to 0, so each nested sum over j of T(m, j) C(l, i - j) with j >= 1
+    and i - j >= 1 is coefficient i of their product.  The five products
+    with a whole binomial row come from one Pascal chain per T row: m6 from
+    T(n), m11_n and m12 from T(n-1), m11_q and m11_p from T(n-2).  Only m15,
+    whose row is cut off at q, is a convolution.  Each count list sums
+    slices of these rows, each scaled by one map(c.__mul__) and added by one
+    map(operator.add); a trailing 0 is an order past the end of a row (K_m
+    has at most m // 2 edges).
     """
-    n, half, quarter = params.n_r, params.half, params.quarter
+    n, half, q = params.n_r, params.half, params.quarter
     t_n, t_n1, t_n2 = ([0, *_k_n_row(m, mode)[1:]] for m in (n, n - 1, n - 2))
 
-    def at(row: list[int], i: int) -> int:
-        return row[i] if i < len(row) else 0
+    def comb(m: int, lo: int, hi: int) -> list[int]:  # C(m, lo .. hi - 1)
+        return [math.comb(m, j) for j in range(lo, hi)]
 
-    (m6,) = _pascal_chain(t_n, quarter)
-    m11_n, m12 = _pascal_chain(t_n1, quarter - 1, quarter)
-    m11_q, m11_p = _pascal_chain(t_n2, quarter - 2, quarter - 1)
-    # printed as C(2^k p - 1, m) but cut off beyond quarter - 1
-    m15 = _convolve(t_n2, [0] + [math.comb(n - 1, j) for j in range(1, quarter)])
+    def lin(*terms) -> list[int]:  # the sum of c * row over the (c, row) terms
+        (c, row), *rest = terms
+        total = map(c.__mul__, row)
+        for c, row in rest:
+            total = map(operator.add, total, map(c.__mul__, row))
+        return list(total)
+
+    (m6,) = _pascal_chain(t_n, q)
+    m11_n, m12 = _pascal_chain(t_n1, q - 1, q)
+    m11_q, m11_p = _pascal_chain(t_n2, q - 2, q - 1)
+    # printed as C(2^k p - 1, m) but cut off beyond q - 1
+    m15 = _convolve(t_n2, [0, *comb(n - 1, 1, q)])
+    m4 = comb(q, 1, q + 1)
     pairs = half * (half - 1) // 2
     return {
-        "M1": (range(1, half + 1), lambda i: t_n[i]),
-        "M2": (range(1, 2), lambda i: half),
-        "M3": (range(1, 3), lambda i: n if i == 1 else half * (half - 1)),
-        "M4": (range(1, quarter + 1), lambda i: math.comb(quarter, i)),
+        "M1": (range(1, half + 1), t_n[1:]),
+        "M2": (range(1, 2), [half]),
+        "M3": (range(1, 3), [n, half * (half - 1)]),
+        "M4": (range(1, q + 1), m4),
         # the second summand's 1/(i-2) factor is undefined at i = 2, where
         # T(n-2)[0] = 0 makes it contribute 0 (the row carries a note)
-        "M5": (range(2, half + 2), lambda i: n * at(t_n1, i - 1) + pairs * t_n2[i - 2]),
-        "M6": (range(2, 3 * quarter + 1), lambda i: m6[i]),
-        # the statement lists the order-2 term separately, then 3..quarter-1
-        "M7": (range(2, quarter), lambda i: n * (quarter - 1) if i == 2 else (
-            n * math.comb(quarter - 1, i - 1) + 2 * quarter * math.comb(quarter - 1, i - 2)
-            + half * (half - 2) * math.comb(quarter - 2, i - 2))),
-        "M8": (range(2, half + 1), lambda i: half * t_n1[i - 1]),
-        "M9": (range(2, 3), lambda i: half * half),
-        "M10": (range(2, quarter + 2), lambda i: half * math.comb(quarter, i - 1)),
-        # the top order 3q is printed with the last summand alone; the middle
-        # one is half T(n-2, half-1) there, not zero, so the omission changes
-        # the count and is reproduced as displayed
-        "M11": (range(3, 3 * quarter + 1), lambda i: (
-            n * at(m11_n, i - 1)
-            + (half * m11_p[i - 2] if i < 3 * quarter else 0)
-            + half * (half - 1) * at(m11_q, i - 2))),
-        "M12": (range(3, 3 * quarter + 1), lambda i: half * m12[i - 1]),
-        "M13": (range(3, quarter + 2), lambda i: half * half * math.comb(quarter - 1, i - 2)),
-        "M14": (range(3, half + 2), lambda i: half * n * t_n2[i - 2]),
-        "M15": (range(4, 3 * quarter + 1), lambda i: half * n * m15[i - 2]),
+        "M5": (range(2, half + 2), lin((n, t_n1[1:] + [0]), (pairs, t_n2))),
+        "M6": (range(2, 3 * q + 1), m6[2:]),
+        # the statement lists the order-2 term separately, then 3..q-1
+        "M7": (range(2, q), [n * (q - 1)] + lin(
+            (n, comb(q - 1, 2, q - 1)),
+            (2 * q, comb(q - 1, 1, q - 2)),
+            (half * (half - 2), comb(q - 2, 1, q - 2)))),
+        "M8": (range(2, half + 1), lin((half, t_n1[1:]))),
+        "M9": (range(2, 3), [half * half]),
+        "M10": (range(2, q + 2), lin((half, m4))),
+        # at the top order 3q only the last summand is printed: the middle
+        # one, half T(n-2, half-1) and not zero, is left out as displayed
+        "M11": (range(3, 3 * q + 1), lin(
+            (n, m11_n[2:]), (half, m11_p[1:-1]), (half * (half - 1), m11_q[1:])) + [0]),
+        "M12": (range(3, 3 * q + 1), lin((half, m12[2:]))),
+        "M13": (range(3, q + 2), lin((half * half, comb(q - 1, 1, q)))),
+        "M14": (range(3, half + 2), lin((half * n, t_n2[1:]))),
+        "M15": (range(4, 3 * q + 1), lin((half * n, m15[2:]))),
     }
 
 
 def _pascal_chain(t_row: list[int], *powers: int) -> list[list[int]]:
     """conv(T, B(l)) for each of the ascending powers l, where B(l) is the
-    binomial row [0, C(l, 1), ..., C(l, l)].  B(l) is (1 + x)^l - 1, so
-    conv(T, B(l)) = T (1 + x)^l - T: the chain multiplies T by (1 + x) once
-    per power, each time as one whole-row pass of big-int additions, which
-    is cheaper than the products of a convolution."""
+    binomial row [0, C(l, 1), ..., C(l, l)] = (1 + x)^l - 1: T (1 + x)^l - T,
+    multiplying T by (1 + x) once per power by one whole-row pass of big-int
+    additions, cheaper than the products of a convolution."""
     rows, row, done = [], t_row, 0
     for power in powers:
         for _ in range(done, power):
@@ -175,8 +179,6 @@ def _pascal_chain(t_row: list[int], *powers: int) -> list[list[int]]:
     return rows
 
 
-# the one row with a note: M5 at order 2, where T(n-2)[0] = 0 stands in for
-# the second summand
 M5_ORDER_2_NOTE = \
     "second summand undefined as displayed at order 2 (1/(i-2) factor); contributed 0"
 
@@ -188,11 +190,13 @@ def paper_hosoya_index(k: int, p: int, mode: str = "printed") -> tuple[int, list
     the keys "family", "order", "count" and "note" (None except on M5 at
     order 2), in that order."""
     _check_mode(mode)
-    params = FamilyParams(k, p)
-    rows = [{"family": family, "order": i, "count": count(i),
-             "note": M5_ORDER_2_NOTE if (family, i) == ("M5", 2) else None}
-            for family, (orders, count) in _family_table(params, mode).items() for i in orders]
-    total = 1 + sum(row["count"] for row in rows)
+    families = _family_table(FamilyParams(k, p), mode)
+    rows = [{"family": family, "order": i, "count": count, "note": None}
+            for family, (orders, counts) in families.items()
+            for i, count in zip(orders, counts, strict=True)]
+    # M5 opens at order 2, after the rows of M1..M4
+    rows[sum(len(families[family][1]) for family in FAMILY_TAGS[:4])]["note"] = M5_ORDER_2_NOTE
+    total = 1 + sum(sum(counts) for _, counts in families.values())
     return total, rows
 
 

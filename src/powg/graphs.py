@@ -6,10 +6,7 @@ adjacent to every other vertex.
 
 The family's edge classification and structure check count the edges
 between two vertex classes of the partition by one popcount pass over the
-adjacency rows of one class, ANDed with the other class's mask; they build
-no per-vertex rule and never walk the edge list.  The prefix <r> is checked
-against P(Z_N) as defined on element orders: x ~ y iff o(x) | o(y) or
-o(y) | o(x), one row mask per divisor.
+rows of one class, ANDed with the other class's mask (see _between).
 """
 
 from __future__ import annotations
@@ -176,10 +173,9 @@ def _ordered(adj, vertices, mask: int) -> int:
 
 def _between(adj, s, t) -> int:
     """Edges with one end in s and the other in t, for vertex classes given
-    as (vertices, mask) pairs, overlapping or not: O(s, t) - E(s & t).  The
-    ordered count O(s, t) from the rows of s sees each edge inside s & t
-    from both ends, so the E(s & t) edges inside it are taken off once.
-    Only the rows of s are read, so s should be the smaller class."""
+    as (vertices, mask) pairs, overlapping or not: O(s, t) - E(s & t), as
+    the ordered count O from the rows of s (the smaller class, ideally)
+    sees each edge inside s & t from both ends."""
     (s_vertices, s_mask), (_, t_mask) = s, t
     ordered = _ordered(adj, s_vertices, t_mask)
     both = s_mask & t_mask
@@ -203,10 +199,9 @@ class EdgeClassification(namedtuple("EdgeClassification", "graph blocks counts")
     and E6) and each of the seven kinds (eu, eh1, eh2, eh3, uh3, vw, yz) to
     the (s, t) vertex-mask pairs whose s-t edges it holds; counts holds the
     edge counts.  Patterns overlap by design (E4, E5, E7, E8, E9, E12, E13
-    are sub-patterns of E1).  The kinds are disjoint, and "unclassified"
-    counts the edges, such as u-h1, that none of them covers.
-    pattern_edges and kind_edges test each edge against the blocks, on
-    demand.
+    are sub-patterns of E1).  The kinds are disjoint unless a listed pair
+    lies in another kind's block; "unclassified" counts the edges, such as
+    u-h1, that none covers.  pattern_edges and kind_edges list them.
     """
 
     __slots__ = ()
@@ -231,8 +226,11 @@ class EdgeClassification(namedtuple("EdgeClassification", "graph blocks counts")
         """Edges that a block of the named entries selects (keep=False: that
         none selects), in edges() order."""
         blocks = [st for name in names for st in self.blocks[name]]
-        return tuple((x, y) for x, y in self.graph.edges()
-                     if any((s >> x & t >> y | t >> x & s >> y) & 1 for s, t in blocks) == keep)
+        return tuple(edge for edge in self.graph.edges() if _in_blocks(blocks, *edge) == keep)
+
+
+def _in_blocks(blocks, x: int, y: int) -> bool:  # x-y is an s-t edge of one (s, t)
+    return any((s >> x & t >> y | t >> x & s >> y) & 1 for s, t in blocks)
 
 
 def _check_order(graph: Graph, part: GroupPartition) -> None:
@@ -245,11 +243,9 @@ def classify_edges(graph: Graph, part: GroupPartition) -> EdgeClassification:
     """Classify every edge of a family power graph.
 
     Each pattern and kind but E11 and yz is the block of edges between two
-    vertex classes taken straight from the partition: {e}, {u}, H0, H1,
-    H2, H3, the prefix <r> and <r> less e or u.  Its count is one popcount
-    pass over the rows of the smaller class ANDed with the other's mask,
-    less the edges inside their intersection (see _between).  E11 and yz
-    count the listed partner pairs that are edges, each pair once.
+    vertex classes of the partition: {e}, {u}, H0..H3, the prefix <r> and
+    <r> less e or u, counted by _between.  E11 and yz count the listed
+    partner pairs that are edges, each pair once.
 
     Raises ValueError when the partition does not match the graph.
     """
@@ -274,13 +270,17 @@ def classify_edges(graph: Graph, part: GroupPartition) -> EdgeClassification:
         "uh3": ("u", "h3"), "vw": ("h1", "h1"), "yz": None,
     }
     pairs = [(1 << y, 1 << z) for y, z in part.partner_pairs]
-    linked = len(_linked_pairs(adj, part.partner_pairs))
+    linked = _linked_pairs(adj, part.partner_pairs)
     found = {st: _between(adj, classes[st[0]], classes[st[1]])
              for st in dict.fromkeys(spec.values()) if st}
     blocks = {name: [(classes[st[0]][1], classes[st[1]][1])] if st else pairs
               for name, st in spec.items()}
-    counts = {name: found[st] if st else linked for name, st in spec.items()}
-    counts["unclassified"] = graph.edge_count - sum(counts[kind] for kind in EDGE_KINDS)
+    counts = {name: found[st] if st else len(linked) for name, st in spec.items()}
+    # the other kinds join disjoint class pairs, none inside H3: only a
+    # linked pair in one of their blocks is in two kinds, and it is one edge
+    others, h3 = [blocks[kind][0] for kind in EDGE_KINDS[:-1]], classes["h3"][1]
+    twice = sum(_in_blocks(others, y, z) for y, z in linked if not h3 >> y & h3 >> z & 1)
+    counts["unclassified"] = graph.edge_count - sum(counts[kind] for kind in EDGE_KINDS) + twice
     return EdgeClassification(graph, blocks, counts)
 
 
@@ -319,15 +319,14 @@ def verify_structure_theorem(graph: Graph, part: GroupPartition) -> StructureRep
     content, never exceptions; a partition for another order raises
     ValueError.
 
-    The pieces are counted like the edge classes of classify_edges: the
-    prefix <r> from its rows ANDed with the prefix mask, the pendants as the
-    e-H2 block, and the pair edges as the {e, u}-members block plus the
-    listed pairs that touch neither e nor u.  The union is counted apart
-    from the pieces, by where an edge lies: inside <r>, or leaving it at e,
-    at u (both lie in <r>), or elsewhere, which only a listed pair covers.
-    The prefix is checked against the definition of P(Z_N) on element
-    orders, not against a second group table, by one comparison of its
-    masked rows."""
+    The pieces are counted like the edge classes of classify_edges: <r>
+    from its rows ANDed with the prefix mask, the pendants as the e-H2
+    block, the pair edges as the {e, u}-members block plus the listed pairs
+    that touch neither e nor u.  The union is counted apart from them, by
+    where an edge lies: inside <r>, leaving it at e or u, or elsewhere,
+    which only a listed pair covers.  The masked prefix rows are compared
+    once with P(Z_N) as defined on element orders: x ~ y iff o(x) | o(y) or
+    o(y) | o(x)."""
     _check_order(graph, part)
     adj, n_r, u = graph.adj, part.n_r, part.u
     prefix, ends = (1 << n_r) - 1, 1 | 1 << u

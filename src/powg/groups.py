@@ -183,11 +183,11 @@ def build_family(params: FamilyParams) -> FiniteGroup:
     m = params.twist
     order = params.order
 
-    low, high = list(range(n)), list(range(n, order))
-    rows = [tuple(low[a:] + low[:a] + high[a:] + high[:a]) for a in range(n)]
+    low, high = tuple(range(n)) * 2, tuple(range(n, order)) * 2  # rotations are slices
+    rows = [low[a:a + n] + high[a:a + n] for a in range(n)]
     twisted = [a * m % n for a in range(n)]
     swap_twist = operator.itemgetter(*[t + n for t in twisted], *twisted)
-    table = tuple(rows + [swap_twist(row) for row in rows])
+    table = (*rows, *map(swap_twist, rows))
 
     labels = ["e" if a == 0 else ("r" if a == 1 else f"r^{a}") for a in range(n)]
     # (a, 1) is r^a s = s r^(a*m mod n)

@@ -14,6 +14,7 @@ import operator
 import time
 from collections import Counter
 from fractions import Fraction
+from itertools import chain, repeat
 
 from . import __version__
 from .distance import distance_profile
@@ -252,51 +253,38 @@ def verify_cases(ks, ps, *, skip_index_above: int = DEFAULT_SKIP_INDEX_ABOVE) ->
 
 
 def render_report(doc: dict) -> str:
-    """Deterministic JSON rendering (timings vary run to run, nothing else).
+    """Deterministic JSON rendering (timings vary run to run, nothing else),
+    byte-identical to json.dumps(jsonable(doc), sort_keys=True, indent=2)
+    + "\\n", the tests' oracle, but streamed into one chunk list without the
+    converted copy or json's pure-Python indent encoder.
 
-    The text is byte-identical to json.dumps(jsonable(doc), sort_keys=True,
-    indent=2) + "\\n", which the tests keep as the oracle, without building
-    the converted copy and without the pure-Python encoder that json uses
-    whenever indent is set.  It streams into one chunk list, joined once.
-
-    A dict is written as a list of one row, value by value.  A list of plain
-    dicts that share one str-key insertion order, such as the family table,
-    is written column by column: an all-str column is escaped by one map, an
-    all-int column is converted by one map (ints beyond 2^53 are then
-    quoted).  Either way the rows come from one %-template per (key order,
-    indentation).  The templates live in this call only: rs_hosoya_terms has
-    different keys in every case.
+    A dict is written as one row, value by value.  A list of plain dicts that
+    share one set of str keys, such as the family table, is written column
+    by column (see _record_columns and _column_texts).  The rows are joined
+    once, key heads and column texts interleaved by
+    chain.from_iterable(zip(...)); rows with a container cell are written
+    piece by piece.
     """
     chunks: list[str] = []
     out = chunks.append
-    layouts: dict[tuple, tuple[list[str], str]] = {}
 
-    def layout(keys: tuple, newline: str) -> tuple[list[str], str]:
-        """The key heads of a dict at this indentation and its row template."""
-        found = layouts.get((keys, newline))
-        if found is None:
-            inner = newline + "  "
-            heads = ["," + inner + _encode_str(key) + ": " for key in keys]
-            heads[0] = "{" + heads[0][1:]
-            template = "".join(head.replace("%", "%%") + "%s" for head in heads) + newline + "}"
-            found = layouts[keys, newline] = heads, template
-        return found
-
-    def write_rows(rows, keys: tuple, newline: str) -> None:
-        """Append dicts that share the sorted str keys, one per line break."""
-        heads, template = layout(keys, newline)
-        if len(rows) == 1:  # a dict: each value is written on its own
-            columns = [[text] for text in map(_scalar_text, map(rows[0].__getitem__, keys))]
-        else:
-            columns = [_column_texts(list(map(operator.itemgetter(key), rows))) for key in keys]
-        separator = "," + newline
+    def write_rows(rows, keys: tuple, columns: list, newline: str) -> None:
+        """Append dicts with the sorted str keys, given the JSON texts of
+        each key's column (None for a container), one per line break."""
+        inner = newline + "  "
+        heads = ["," + inner + _encode_str(key) + ": " for key in keys]
+        heads[0] = "{" + heads[0][1:]
         if not any(None in column for column in columns):
-            out(separator.join(map(template.__mod__, zip(*columns))))
+            # the first head of every later row also closes the row before it
+            parts = [chain(heads[:1], repeat(newline + "}," + newline + heads[0])), columns[0]]
+            for head, column in zip(heads[1:], columns[1:]):
+                parts += repeat(head), column
+            out("".join(chain.from_iterable(zip(*parts))))
+            out(newline + "}")
             return
-        inner = newline + "  "  # a container cell: write the rows piece by piece
         for n, (row, texts) in enumerate(zip(rows, zip(*columns))):
             if n:
-                out(separator)
+                out("," + newline)
             for head, key, text in zip(heads, keys, texts):
                 out(head)
                 if text is None:
@@ -314,7 +302,9 @@ def render_report(doc: dict) -> str:
                 return
             if not all(type(key) is str for key in value):
                 value = jsonable(value)  # str() keys; a collision keeps the last value
-            write_rows([value], tuple(sorted(value)), newline)
+            keys = tuple(sorted(value))
+            write_rows([value], keys, [[text] for text in map(
+                _scalar_text, map(value.__getitem__, keys))], newline)
             return
         if type(value) not in (list, tuple):
             out(_scalar_text(value))
@@ -323,10 +313,11 @@ def render_report(doc: dict) -> str:
             out("[]")
             return
         inner = newline + "  "
-        keys = _record_keys(value)
-        if keys:
+        records = _record_columns(value)
+        if records:
+            keys, columns = records
             out("[" + inner)
-            write_rows(value, keys, inner)
+            write_rows(value, keys, list(map(_column_texts, columns)), inner)
             out(newline + "]")
             return
         texts = list(map(_scalar_text, value))
@@ -351,22 +342,25 @@ def render_report(doc: dict) -> str:
     return "".join(chunks)
 
 
-def _record_keys(items) -> tuple | None:
-    """Sorted keys of a list of plain dicts that share one non-empty str-key
-    insertion order, or None for any other list."""
-    if type(items[0]) is not dict or set(map(type, items)) != {dict}:
+def _record_columns(items) -> tuple[tuple, list] | None:
+    """Sorted keys and value columns of a list of plain dicts that share one
+    non-empty set of str keys, or None for any other list: one itemgetter
+    pass reads every row, and a KeyError or another length rejects it."""
+    if set(map(type, items)) != {dict} or set(map(type, items[0])) != {str}:
         return None
-    orders = set(map(tuple, items))
-    if len(orders) != 1:
+    keys = tuple(sorted(items[0]))
+    try:
+        cells = list(map(operator.itemgetter(*keys), items))
+    except KeyError:
         return None
-    (order,) = orders
-    if not order or not all(type(key) is str for key in order):
+    if set(map(len, items)) != {len(keys)}:
         return None
-    return tuple(sorted(order))
+    return keys, list(zip(*cells)) if len(keys) > 1 else [cells]  # one key: bare values
 
 
-def _column_texts(values: list) -> list:
-    """JSON texts of one column of values, None for a container."""
+def _column_texts(values) -> list:
+    """JSON texts of one column of values, None for a container.  A str,
+    int (quoted beyond 2^53) or None-or-str column takes one pass."""
     kinds = set(map(type, values))
     if kinds == {str}:
         return list(map(_encode_str, values))
@@ -376,14 +370,15 @@ def _column_texts(values: list) -> list:
             texts = [text if -JSON_SAFE_INT <= value <= JSON_SAFE_INT else '"' + text + '"'
                      for value, text in zip(values, texts)]
         return texts
+    if kinds <= {str, type(None)}:
+        return ["null" if value is None else _encode_str(value) for value in values]
     return list(map(_scalar_text, values))
 
 
 def _scalar_text(value) -> str | None:
-    """JSON text of a scalar, or None for a container.  str, safe ints, bools
-    and None are written here; every other value follows jsonable (big ints
-    and Fractions as strings, TypeError for unsupported types) and json's
-    own float rule (NaN, Infinity)."""
+    """JSON text of a scalar, or None for a container.  Values other than
+    str, safe ints, bools and None follow jsonable (TypeError for unsupported
+    types) and json's own float rule (NaN, Infinity)."""
     kind = type(value)
     if kind is str:
         return _encode_str(value)

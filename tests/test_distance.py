@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from powg import (
     FamilyParams,
     Graph,
+    RationalExponentPolynomial,
     build_cyclic,
     build_family,
     build_power_graph,
@@ -162,6 +163,27 @@ def test_rs_classes_merge_layer_tuples_of_equal_status():
     check_profile_against_oracle(g)
     assert rs_hosoya_polynomial(g).terms == {
         Fraction(29, 3): 1, Fraction(9): 1, Fraction(17, 2): 3, Fraction(91, 12): 2}
+
+
+@pytest.mark.parametrize("terms", [
+    {Fraction(9, 2): 3, Fraction(4): 1, Fraction(1, 3): 2},  # stored form: copied
+    {Fraction(4): 1, Fraction(9, 2): 3, Fraction(1, 3): 2},  # out of order
+    {Fraction(9, 2): 3, 4: 1, Fraction(1, 3): 2},  # an int exponent
+    {Fraction(9, 2): 3, Fraction(4): True, Fraction(1, 3): 2},  # a bool coefficient
+])
+def test_rs_polynomial_terms_are_exact_and_descending(terms):
+    poly = RationalExponentPolynomial(terms)
+    assert list(poly.terms.items()) == [(Fraction(9, 2), 3), (Fraction(4), 1), (Fraction(1, 3), 2)]
+    assert {type(e) for e in poly.terms} == {Fraction}
+    assert {type(c) for c in poly.terms.values()} == {int}
+    poly.terms[Fraction(9, 2)] = 0
+    assert terms[Fraction(9, 2)] == 3  # the caller's dict is not shared
+
+
+@pytest.mark.parametrize("coeff", [0, -1])
+def test_rs_polynomial_rejects_a_non_positive_coefficient(coeff):
+    with pytest.raises(ValueError, match="not positive"):
+        RationalExponentPolynomial({Fraction(5): 1, Fraction(3): coeff})
 
 
 def test_rs_hosoya_total_equals_edge_count():

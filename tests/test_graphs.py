@@ -399,6 +399,8 @@ def test_classes_match_edge_loops_on_any_graph(case):
     patterns, kinds = classify_by_loop(graph, part)
     assert cls.pattern_counts() == {tag: len(v) for tag, v in patterns.items()}
     assert cls.pattern_edges == patterns
+    # for every pair list, overlapping or not, each count is its list's length
+    assert cls.kind_counts() == {kind: len(v) for kind, v in cls.kind_edges.items()}
     if edit in DISJOINT_KIND_EDITS:
         assert cls.kind_counts() == {kind: len(v) for kind, v in kinds.items()}
         assert cls.kind_edges == kinds
@@ -411,6 +413,16 @@ def test_structure_matches_edge_loop_on_family_graphs(k, p, edit):
     graph, part = family_graph(k, p)
     part = part._replace(partner_pairs=PAIR_EDITS[edit](part, part.partner_pairs))
     assert verify_structure_theorem(graph, part) == structure_by_loop(graph, part)
+
+
+@pytest.mark.parametrize("edit", sorted(PAIR_EDITS))
+def test_kind_counts_are_the_kind_list_lengths(edit):
+    # a pair at u lies in the u-h3 block and a pair inside <r> in vw: each
+    # such edge is listed under two kinds but is still one edge
+    graph, part = family_graph(2, 3)
+    part = part._replace(partner_pairs=PAIR_EDITS[edit](part, part.partner_pairs))
+    cls = classify_edges(graph, part)
+    assert cls.kind_counts() == {kind: len(v) for kind, v in cls.kind_edges.items()}
 
 
 def test_classify_rejects_mismatched_partition():

@@ -121,8 +121,8 @@ def test_render_report_fixed_documents_match_json_oracle():
     assert render_report(doc) == json_oracle(doc)
 
 
-# keys that a %-template must escape, non-ASCII keys, and "1", which collides
-# with the int key 1 once keys are converted
+# keys with %, non-ASCII keys, and "1", which collides with the int key 1
+# once keys are converted
 record_keys = st.sampled_from(["%", "%s", "%%", "%(a)s", "a%d", "é", "\u2028", "1", "count"])
 column_kinds = st.sampled_from([
     st.integers(),
@@ -167,6 +167,32 @@ def record_lists(draw):
 @given(record_lists())
 def test_render_report_record_lists_match_json_oracle(doc):
     assert render_report(doc) == json_oracle(doc)
+
+
+# the record path reads every row with one itemgetter over the sorted keys of
+# the first row; these lists sit on either side of what it accepts
+RECORD_PATH_CASES = {
+    # itemgetter with one key returns the bare value, not a 1-tuple
+    "single-key": ([{"n": 1}, {"n": JSON_SAFE_INT + 1}, {"n": -2}], (("n",), 1)),
+    "two-insertion-orders": ([{"b": 1, "a": "x"}, {"a": "y", "b": 2}], (("a", "b"), 2)),
+    "missing-key": ([{"a": 1, "b": 2}, {"a": 3}], None),
+    "extra-key": ([{"a": 1}, {"a": 2, "b": 3}], None),
+    "extra-key-first": ([{"a": 1, "b": 3}, {"a": 2}], None),
+    "same-length-other-keys": ([{"a": 1}, {"b": 2}], None),
+    # a None-or-str column, written by one comprehension
+    "none-or-str": ([{"note": None, "m": "M1"}, {"note": "é\u2028%s", "m": "M5"},
+                     {"note": None, "m": "\u00fc"}], (("m", "note"), 2)),
+    "not-all-dicts": ([{"a": 1}, [("a", 1)]], None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_PATH_CASES))
+def test_render_report_record_path_edges(name):
+    rows, expected = RECORD_PATH_CASES[name]
+    found = report._record_columns(rows)
+    assert (found if found is None else (found[0], len(found[1]))) == expected
+    for doc in (rows, {"rows": rows}, [rows, rows[:1]]):
+        assert render_report(doc) == json_oracle(doc)
 
 
 def test_render_report_ladder_matches_json_oracle():
