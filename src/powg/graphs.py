@@ -12,7 +12,9 @@ rows of one class, ANDed with the other class's mask (see _between).
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
+from itertools import repeat
 
 from .groups import FiniteGroup, GroupPartition, cyclic_subgroups
 
@@ -285,14 +287,28 @@ def classify_edges(graph: Graph, part: GroupPartition) -> EdgeClassification:
 
 
 def _order_divisibility_rows(n: int) -> tuple[int, ...]:
-    """Adjacency rows of P(Z_n) from element orders o(i) = n / gcd(i, n);
-    no group table is built."""
-    order = [n // math.gcd(i, n) for i in range(n)]
-    of_order: dict[int, int] = {}
-    for i, d in enumerate(order):
-        of_order[d] = of_order.get(d, 0) | 1 << i
-    row = {d: sum(m for c, m in of_order.items() if d % c == 0 or c % d == 0) for d in of_order}
-    return tuple(row[d] & ~(1 << i) for i, d in enumerate(order))
+    """Adjacency rows of P(Z_n) from element orders; no group table is built.
+
+    Two elements are adjacent iff one's order divides the other's.  Per
+    divisor d of n, ascending: the elements of order dividing d are the
+    multiples of n/d, the bits of (2^n - 1) / (2^(n/d) - 1); those of order
+    exactly d are the multiples whose cofactor is coprime to d, that mask
+    less the ones of each smaller order c | d.  The row of order d starts as
+    the first mask, and the second joins the row of each such c."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    divisors = sorted({*small, *(n // d for d in small)})
+    full, of_order, row = (1 << n) - 1, {}, {}
+    for d in divisors:
+        row[d] = below = full // ((1 << n // d) - 1)
+        lower = [c for c in of_order if d % c == 0]
+        of_order[d] = exact = below - sum(map(of_order.__getitem__, lower))
+        for c in lower:
+            row[c] |= exact
+    order = [0] * n
+    for d in reversed(divisors):  # an element keeps the least d whose mask holds it
+        order[::n // d] = [d] * d
+    own_bits = map(operator.lshift, repeat(1), range(n))
+    return tuple(map(operator.xor, map(row.__getitem__, order), own_bits))
 
 
 class StructureReport(namedtuple("StructureReport", (

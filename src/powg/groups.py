@@ -15,8 +15,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import namedtuple
-from collections.abc import Iterator
-from itertools import repeat
+from collections.abc import Iterable, Iterator
 
 # Explicit n x n tables only; keeps memory at desk scale.
 MAX_ORDER = 1024
@@ -293,16 +292,83 @@ def partition(g: FiniteGroup, params: FamilyParams) -> GroupPartition:
     return GroupPartition(h0, h1, h2, h3, u, tuple(pairs), n)
 
 
+def _walk_starts(table: tuple[tuple[int, ...], ...]) -> list[int] | None:
+    """The starts of the right-power walks, longest walk first (ties in
+    index order), or None if some walk does not reach 0 within n steps.
+
+    Each element not on an earlier walk starts one, x, x·x, (x·x)·x, ..,
+    which marks every element it passes; so every element lies on the walk
+    of some start."""
+    n = len(table)
+    walked = bytearray(n)
+    walks = []
+    for x in range(1, n):
+        if walked[x]:
+            continue
+        y, length = x, 1
+        while y:
+            if length == n:  # x^n is not e, though a group's element orders divide n
+                return None
+            walked[y] = 1
+            y = table[y][x]
+            length += 1
+        walks.append((-length, x))
+    walks.sort()
+    return [x for _, x in walks]
+
+
+def _generators(table: tuple[tuple[int, ...], ...], candidates: Iterable[int]) -> Iterator[int]:
+    """Yield each candidate that is not in `reached`, the closure of {0}
+    under right multiplication by the candidates yielded before it; stop
+    once `reached` holds every element.  The closure by a candidate is
+    taken only when the next one is asked for, so a caller that stops at a
+    failing candidate never pays for it."""
+    n = len(table)
+    reached, gens = {0}, []
+    for g in candidates:
+        if len(reached) == n:
+            return
+        if g in reached:
+            continue
+        yield g
+        gens.append(g)
+        # the old elements are closed under the old generators, so they need
+        # only g; each new element needs every generator
+        queue = [table[r][g] for r in reached]
+        for y in queue:  # appending while iterating makes the list a FIFO queue
+            if y not in reached:
+                reached.add(y)
+                queue += map(table[y].__getitem__, gens)
+
+
+def _light_passes(table: tuple[tuple[int, ...], ...], g: int) -> bool:
+    """Light's test for g: (x·g)·y = x·(g·y) for all x, y, that is, row x·g
+    equals row x read through row g.  One C-level pass, a row at a time."""
+    return all(map(operator.eq, map(table.__getitem__, map(operator.itemgetter(g), table)),
+                   map(operator.itemgetter(*table[g]), table)))
+
+
 def _validate_table(table: tuple[tuple[int, ...], ...]) -> None:
     """Check the group axioms exactly, at every order; raises GroupError
-    naming the first witness found.  Inverses are proved by one scan: if
-    every row holds a 0 and the first 0s of the rows fall in n distinct
-    columns, every column holds a 0 too.  Only when that proof fails are
-    they checked per element, right (a 0 in its row) before left (a 0 in
-    its column), to name the first element that lacks one.  Associativity
-    is Light's test: if (x·g)·y = x·(g·y) for all x, y and each g of a
-    generating set, it holds for all triples, as the elements passing it
-    are closed under products."""
+    naming the first witness found.
+
+    A group is accepted by one proof.  Every right-power walk returns to 0
+    (_walk_starts), and Light's test, (x·g)·y = x·(g·y) for all x, y, holds
+    for each g that _generators picks from the walk starts, longest walk
+    first.  The elements passing Light's test are closed under products and
+    hold 0, so they hold the closure of {0} under the picked g, which is
+    then closed under products too.  A start is skipped only when it lies
+    in that closure, and then so does its walk; every element lies on a
+    walk, so the closure is the whole table.  Hence every element passes,
+    the table is associative with identity 0, and each element, x^j for a
+    start x with x^o = e, has the inverse x^(o-j).  Longest walk first is
+    only a heuristic (one generator for a cyclic group, two for the
+    family); any order of the starts gives a sound proof.
+
+    A table that fails the proof is no group.  Only to name the first
+    witness are its axioms then checked one by one: inverses per element,
+    right (a 0 in its row) before left (a 0 in its column), then Light's
+    test on generators picked in index order."""
     n = len(table)
     ident = tuple(range(n))
     if table[0] != ident or tuple(row[0] for row in table) != ident:
@@ -312,40 +378,32 @@ def _validate_table(table: tuple[tuple[int, ...], ...]) -> None:
                 raise GroupError(f"identity element is at index {e}, not 0")
         raise GroupError("element 0 is not an identity (row or column broken)")
 
-    try:
-        inverse_columns = set(map(tuple.index, table, repeat(0)))
-    except ValueError:  # a row with no 0
-        inverse_columns = set()
-    if len(inverse_columns) < n:
-        for x, column in enumerate(zip(*table)):
-            if 0 not in table[x]:
-                raise GroupError(f"element {x} has no right inverse")
-            if 0 not in column:
-                raise GroupError(f"element {x} has no left inverse")
+    starts = _walk_starts(table)
+    if starts is not None and all(_light_passes(table, g) for g in _generators(table, starts)):
+        return
 
-    # `reached` is the closure of {0} under right multiplication by the
-    # generators so far, a subgroup once they pass.  A passing g has a right
-    # inverse g' with (x·g)·g' = x, so x -> x·g is injective and reached·g is
-    # a disjoint coset: each generator at least doubles `reached`, so at most
-    # floor(log2 n) generators are needed and no cap is.
-    reached, gens = {0}, []
-    while len(reached) < n:
-        g = next(x for x in range(n) if x not in reached)
-        row_g = table[g]
-        through_g = operator.itemgetter(*row_g)  # row of x -> row of x·(g·y)
-        for x, row_x in enumerate(table):
+    for x, column in enumerate(zip(*table)):
+        if 0 not in table[x]:
+            raise GroupError(f"element {x} has no right inverse")
+        if 0 not in column:
+            raise GroupError(f"element {x} has no left inverse")
+
+    # Every element has a right inverse now, so a passing g has one, g', with
+    # (x·g)·g' = x: x -> x·g is injective and the closure times g is a
+    # disjoint coset.  Each generator at least doubles the closure, so at
+    # most floor(log2 n) are tested.
+    for g in _generators(table, range(1, n)):
+        if not _light_passes(table, g):
+            row_g = table[g]
+            through_g = operator.itemgetter(*row_g)  # row of x -> row of x·(g·y)
+            x = next(x for x, row_x in enumerate(table) if through_g(row_x) != table[row_x[g]])
+            row_x = table[x]
             row_xg = table[row_x[g]]
-            if through_g(row_x) != row_xg:
-                y = next(y for y in range(n) if row_xg[y] != row_x[row_g[y]])
-                raise GroupError(
-                    f"associativity fails at triple ({x}, {g}, {y}): "
-                    f"({x}·{g})·{y} = {row_xg[y]} but {x}·({g}·{y}) = {row_x[row_g[y]]}"
-                )
-        gens.append(g)
-        frontier = set(reached)
-        while frontier:
-            frontier = {table[r][h] for r in frontier for h in gens} - reached
-            reached |= frontier
+            y = next(y for y in range(n) if row_xg[y] != row_x[row_g[y]])
+            raise GroupError(
+                f"associativity fails at triple ({x}, {g}, {y}): "
+                f"({x}·{g})·{y} = {row_xg[y]} but {x}·({g}·{y}) = {row_x[row_g[y]]}"
+            )
 
 
 def _parse_row(parts: list[str], n: int, line_no: int) -> tuple[int, ...]:
@@ -376,7 +434,9 @@ def load_cayley_table(text: str) -> FiniteGroup:
     dictionary, whose lookups also prove 0 <= v < n; only a row with a key
     missing from it (a spelling such as 01 or +1, or a bad entry) goes
     through int() and a range check.  The table is then validated by
-    _validate_table.
+    _validate_table: a proof by right-power walks and Light's test on the
+    walk starts, longest walk first.  Only a table that fails the proof is
+    checked axiom by axiom, and only to name the first witness.
     """
     lines = [(line_no, ln) for line_no, ln in enumerate(map(str.strip, text.split("\n")), 1)
              if ln]

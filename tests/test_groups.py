@@ -13,8 +13,8 @@ from powg import (
     load_cayley_table,
     partition,
 )
-from powg.groups import MAX_ORDER
-from conftest import cayley_text, oracle_groups, rows_text
+from powg.groups import MAX_ORDER, _generators, _light_passes, _walk_starts
+from conftest import cayley_text, oracle_groups, relabelled, rows_text
 from oracles import reference_validate
 
 # a magma with identity 0 in which 1 * 1 = 1, so no power of 1 is e
@@ -303,6 +303,11 @@ def test_cayley_parse_errors():
         load_cayley_table("2\n0 x\n1 0\n")       # non-integer
 
 
+# walks 1, 3, 0 and 2, 3, 5, 1, 4, 0: the longer walk starts at 2
+LOOP_FAILING_ITS_LONGEST_WALK = [[0, 1, 2, 3, 4, 5], [1, 3, 4, 0, 5, 2], [2, 5, 3, 4, 0, 1],
+                                 [3, 0, 5, 1, 2, 4], [4, 2, 0, 5, 1, 3], [5, 4, 1, 2, 3, 0]]
+
+
 @pytest.mark.parametrize("text,message", [
     ("2\n0 1\n-1 0\n", "line 3: entry -1 out of range 0..1"),
     ("2\n0 2\n1 0\n", "line 2: entry 2 out of range 0..1"),
@@ -316,6 +321,12 @@ def test_cayley_parse_errors():
     # elements in index order, the right inverse before the left one
     ("3\n0 1 2\n1 1 0\n2 2 1\n", "element 1 has no left inverse"),
     ("3\n0 1 2\n1 1 2\n2 2 0\n", "element 1 has no right inverse"),
+    # a monoid: it passes Light's test, but no power of 1 is 0
+    ("2\n0 1\n1 1\n", "element 1 has no right inverse"),
+    # a loop whose longest walk starts at 2, which fails Light's test; the
+    # witness is still the first one in index order, at g = 1
+    (rows_text(LOOP_FAILING_ITS_LONGEST_WALK),
+     "associativity fails at triple (2, 1, 2): (2·1)·2 = 1 but 2·(1·2) = 0"),
     # blank lines are skipped but still counted in the line numbers
     ("2\n\n0 1\n1 0 0\n", "line 4: expected 2 entries, got 3"),
     ("\n\n2\n0 1\n1 0\nlabel 5 a\n", "line 6: label index 5 out of range"),
@@ -364,9 +375,12 @@ def small_magmas(draw):
 @example([[0, 1, 2], [1, 0, 0], [2, 0, 0]])             # two 0s in a row, none missing
 @example([[0, 1, 2], [1, 0, 2], [2, 0, 1]])             # a 0 in every row, not column
 @example([[0, 1, 2], [1, 2, 1], [2, 0, 1]])             # a row with no 0
+@example([[0, 1], [1, 1]])                               # a monoid: passes Light's test
+@example([[0, 1, 2, 3], [1, 0, 2, 2], [2, 1, 1, 0], [3, 0, 0, 0]])  # walk 2, 1, 2, .. misses 0
+@example(LOOP_FAILING_ITS_LONGEST_WALK)                 # index order names another witness
 def test_validation_matches_the_per_element_oracle(rows):
-    # the one-scan inverse proof accepts and rejects exactly as the
-    # per-element check did, naming the same first witness
+    # the proof by walks and Light's test accepts and rejects exactly as the
+    # per-element check did, and its slow path names the same first witness
     try:
         reference_validate(tuple(map(tuple, rows)))
         expected = None
@@ -378,3 +392,22 @@ def test_validation_matches_the_per_element_oracle(rows):
         assert str(exc) == expected
     else:
         assert expected is None and g.table == tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize("n", [2, 3, 12, 30, 64, 255, 256, 700, MAX_ORDER])
+def test_walks_choose_one_generator_for_a_cyclic_table(n):
+    # the generators the validator runs Light's test on: the walk of a
+    # generator of Z_n is the longest, and it reaches every element
+    for seed in (1, 2):
+        table = relabelled(build_cyclic(n), seed).table
+        gens = list(_generators(table, _walk_starts(table)))
+        assert len(gens) == 1 and all(_light_passes(table, g) for g in gens)
+
+
+@pytest.mark.parametrize("k,p", [(2, 3), (3, 7), (4, 5), (6, 7), (7, 3)])
+def test_walks_choose_two_generators_for_a_family_table(k, p):
+    # a generator of <r> walks longest; any element outside <r> completes it
+    for seed in (1, 2):
+        table = relabelled(family(k, p), seed).table
+        gens = list(_generators(table, _walk_starts(table)))
+        assert len(gens) == 2 and all(_light_passes(table, g) for g in gens)
