@@ -183,21 +183,47 @@ M5_ORDER_2_NOTE = \
     "second summand undefined as displayed at order 2 (1/(i-2) factor); contributed 0"
 
 
-def paper_hosoya_index(k: int, p: int, mode: str = "printed") -> tuple[int, list[dict]]:
+class FamilyTable:
+    """The family table of one case and mode.  It iterates one dict per
+    (family, order) with the keys "family", "order", "count" and "note", in
+    that order.  layout, the same in both modes, holds one (family, orders,
+    note) segment per family, M5 split at its noted order 2; counts is the
+    mode's count list, which must fit the orders (else ValueError)."""
+
+    __slots__ = ("layout", "counts")
+
+    def __init__(self, families: dict[str, tuple[range, list[int]]]) -> None:
+        layout, self.counts = [], []
+        for family, (orders, counts) in families.items():
+            if len(counts) != len(orders):
+                raise ValueError(f"{family} has {len(counts)} counts for {len(orders)} orders")
+            if family == "M5":  # M5 opens at order 2
+                layout.append((family, orders[:1], M5_ORDER_2_NOTE))
+                orders = orders[1:]
+            layout.append((family, orders, None))
+            self.counts += counts
+        self.layout = tuple(layout)
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __iter__(self):
+        keys = ((family, i, note) for family, orders, note in self.layout for i in orders)
+        for (family, i, note), count in zip(keys, self.counts):
+            yield {"family": family, "order": i, "count": count, "note": note}
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is FamilyTable and self.layout == other.layout
+                and self.counts == other.counts)
+
+
+def paper_hosoya_index(k: int, p: int, mode: str = "printed") -> tuple[int, FamilyTable]:
     """Assemble the published total matching count: 1 plus the sum of every
-    family count over the stated ranges.  Returns the total and one row per
-    (family, order), the family table as the report writes it: a dict with
-    the keys "family", "order", "count" and "note" (None except on M5 at
-    order 2), in that order."""
+    family count over the stated ranges.  Returns the total and the family
+    table, which reports write as its list of dict rows."""
     _check_mode(mode)
-    families = _family_table(FamilyParams(k, p), mode)
-    rows = [{"family": family, "order": i, "count": count, "note": None}
-            for family, (orders, counts) in families.items()
-            for i, count in zip(orders, counts, strict=True)]
-    # M5 opens at order 2, after the rows of M1..M4
-    rows[sum(len(families[family][1]) for family in FAMILY_TAGS[:4])]["note"] = M5_ORDER_2_NOTE
-    total = 1 + sum(sum(counts) for _, counts in families.values())
-    return total, rows
+    table = FamilyTable(_family_table(FamilyParams(k, p), mode))
+    return 1 + sum(table.counts), table
 
 
 def family_matching_polynomial(k: int, p: int) -> list[int]:

@@ -13,12 +13,14 @@ import json
 import operator
 import time
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
 
 from . import __version__
 from .distance import distance_profile
 from .formulas import (
+    FamilyTable,
     family_matching_polynomial,
     paper_degree_claims,
     paper_edge_type_counts,
@@ -52,22 +54,31 @@ class ResultCache:
 
 
 def jsonable(value):
-    """Recursively convert to JSON-safe data; big ints become strings."""
+    """Recursively convert to JSON-safe data; big ints become strings, and a
+    family table becomes the list of its dict rows."""
     if isinstance(value, bool):
         return value
     if isinstance(value, int):
-        return str(value) if abs(value) > JSON_SAFE_INT else value
+        return _digits(value) if abs(value) > JSON_SAFE_INT else value
     if isinstance(value, Fraction):
         return str(value) if value.denominator != 1 else jsonable(value.numerator)
     if isinstance(value, float):
         return value
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
-    if type(value) in (list, tuple):  # a named tuple is not a JSON array
+    if type(value) in (list, tuple, FamilyTable):  # a named tuple is not a JSON array
         return [jsonable(v) for v in value]
     if value is None or isinstance(value, str):
         return value
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _digits(value: int) -> str:
+    """str(value), also past Python 3.11's int-to-str digit limit."""
+    try:
+        return str(value)
+    except ValueError:
+        return str(Decimal(value))
 
 
 def _oracle_index(graph, k, p):
@@ -259,30 +270,23 @@ def render_report(doc: dict) -> str:
     converted copy or json's pure-Python indent encoder.
 
     A dict is written as one row, value by value.  A list of plain dicts that
-    share one set of str keys, such as the family table, is written column
-    by column (see _record_columns and _column_texts).  The rows are joined
-    once, key heads and column texts interleaved by
-    chain.from_iterable(zip(...)); rows with a container cell are written
-    piece by piece.
+    share one set of str keys, such as the diff rows, takes the texts of each
+    column in one pass (see _record_columns and _column_texts) and is
+    written row by row.  A family table is its count column interleaved with
+    the text between counts, built once per layout and indentation, so a
+    case's two modes share it (see _table_text).
     """
     chunks: list[str] = []
     out = chunks.append
+    between: dict = {}
 
-    def write_rows(rows, keys: tuple, columns: list, newline: str) -> None:
+    def write_rows(rows, keys: tuple, row_texts, newline: str) -> None:
         """Append dicts with the sorted str keys, given the JSON texts of
-        each key's column (None for a container), one per line break."""
+        each row's values (None for a container), one per line break."""
         inner = newline + "  "
         heads = ["," + inner + _encode_str(key) + ": " for key in keys]
         heads[0] = "{" + heads[0][1:]
-        if not any(None in column for column in columns):
-            # the first head of every later row also closes the row before it
-            parts = [chain(heads[:1], repeat(newline + "}," + newline + heads[0])), columns[0]]
-            for head, column in zip(heads[1:], columns[1:]):
-                parts += repeat(head), column
-            out("".join(chain.from_iterable(zip(*parts))))
-            out(newline + "}")
-            return
-        for n, (row, texts) in enumerate(zip(rows, zip(*columns))):
+        for n, (row, texts) in enumerate(zip(rows, row_texts)):
             if n:
                 out("," + newline)
             for head, key, text in zip(heads, keys, texts):
@@ -303,8 +307,10 @@ def render_report(doc: dict) -> str:
             if not all(type(key) is str for key in value):
                 value = jsonable(value)  # str() keys; a collision keeps the last value
             keys = tuple(sorted(value))
-            write_rows([value], keys, [[text] for text in map(
-                _scalar_text, map(value.__getitem__, keys))], newline)
+            write_rows([value], keys, [map(_scalar_text, map(value.__getitem__, keys))], newline)
+            return
+        if type(value) is FamilyTable:
+            out(_table_text(value, newline, between))
             return
         if type(value) not in (list, tuple):
             out(_scalar_text(value))
@@ -317,7 +323,7 @@ def render_report(doc: dict) -> str:
         if records:
             keys, columns = records
             out("[" + inner)
-            write_rows(value, keys, list(map(_column_texts, columns)), inner)
+            write_rows(value, keys, zip(*map(_column_texts, columns)), inner)
             out(newline + "]")
             return
         texts = list(map(_scalar_text, value))
@@ -359,20 +365,42 @@ def _record_columns(items) -> tuple[tuple, list] | None:
 
 
 def _column_texts(values) -> list:
-    """JSON texts of one column of values, None for a container.  A str,
-    int (quoted beyond 2^53) or None-or-str column takes one pass."""
+    """JSON texts of one column of values, None for a container.  A str or
+    int (quoted beyond 2^53) column takes one pass."""
     kinds = set(map(type, values))
     if kinds == {str}:
         return list(map(_encode_str, values))
     if kinds == {int}:
-        texts = list(map(int.__repr__, values))
+        try:
+            texts = list(map(int.__repr__, values))
+        except ValueError:  # past the digit limit
+            texts = list(map(_digits, values))
         if max(values) > JSON_SAFE_INT or min(values) < -JSON_SAFE_INT:
             texts = [text if -JSON_SAFE_INT <= value <= JSON_SAFE_INT else '"' + text + '"'
                      for value, text in zip(values, texts)]
         return texts
-    if kinds <= {str, type(None)}:
-        return ["null" if value is None else _encode_str(value) for value in values]
     return list(map(_scalar_text, values))
+
+
+def _table_text(table: FamilyTable, newline: str, between: dict) -> str:
+    """JSON text of jsonable(table): each count text from _column_texts, then
+    the text up to the next count (the row's family, note and order, the
+    next row's head), which between holds per (layout, newline)."""
+    if not table.counts:
+        return "[]"
+    inner, cell = newline + "  ", newline + "    "
+    head = inner + "{" + cell + '"count": '
+    texts = between.get((table.layout, newline))
+    if texts is None:
+        between.clear()  # a case's modes are adjacent: keep one layout's text
+        texts = []
+        for family, orders, note in table.layout:
+            lead = (f',{cell}"family": {_encode_str(family)},{cell}"note": '
+                    f'{_scalar_text(note)},{cell}"order": ')
+            texts += [f"{lead}{i}{inner}}},{head}" for i in orders]
+        texts[-1] = texts[-1][:-len(head) - 1] + newline + "]"
+        between[table.layout, newline] = texts
+    return "[" + head + "".join(chain.from_iterable(zip(_column_texts(table.counts), texts)))
 
 
 def _scalar_text(value) -> str | None:
@@ -390,7 +418,7 @@ def _scalar_text(value) -> str | None:
         return "true"
     if value is False:
         return "false"
-    if isinstance(value, dict) or kind in (list, tuple):
+    if isinstance(value, dict) or kind in (list, tuple, FamilyTable):
         return None
     return json.dumps(jsonable(value))
 

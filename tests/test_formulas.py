@@ -21,8 +21,11 @@ from powg import (
 )
 from powg.formulas import (
     FAMILY_TAGS,
+    M5_ORDER_2_NOTE,
     MODES,
+    FamilyTable,
     _chain_matchings,
+    _family_table,
     _pascal_chain,
     family_matching_polynomial,
 )
@@ -193,6 +196,34 @@ def test_assembly_notes_only_m5_order_two():
     _, rows = paper_hosoya_index(2, 3, "printed")
     noted = [(row["family"], row["order"]) for row in rows if row["note"]]
     assert noted == [("M5", 2)]
+
+
+def test_family_table_keeps_the_row_contract():
+    families = _family_table(FamilyParams(2, 3), "printed")
+    total, table = paper_hosoya_index(2, 3, "printed")
+    rows = list(table)
+    assert len(table) == len(rows) == sum(len(orders) for orders, _ in families.values())
+    assert all(list(row) == ["family", "order", "count", "note"] for row in rows)
+    assert [row["count"] for row in rows] == [c for _, counts in families.values() for c in counts]
+    assert [row["order"] for row in rows if row["family"] == "M5"] == list(families["M5"][0])
+    assert [row["note"] for row in rows].count(M5_ORDER_2_NOTE) == 1
+    assert table == FamilyTable(families) == paper_hosoya_index(2, 3, "printed")[1]
+    assert table != paper_hosoya_index(2, 3, "corrected")[1]  # same layout, other counts
+    assert table.layout == paper_hosoya_index(2, 3, "corrected")[1].layout
+    assert table != paper_hosoya_index(2, 5, "printed")[1]
+    orders, counts = families["M9"]
+    changed = FamilyTable({**families, "M9": (orders, [counts[0] + 1])})
+    assert table != changed and len(changed) == len(table)
+
+
+@pytest.mark.parametrize("family", ["M1", "M5", "M15"])
+def test_family_table_rejects_a_count_list_one_short(family):
+    families = _family_table(FamilyParams(2, 5), "corrected")
+    orders, counts = families[family]
+    with pytest.raises(ValueError):
+        FamilyTable({**families, family: (orders, counts[:-1])})
+    with pytest.raises(ValueError):
+        FamilyTable({**families, family: (orders, counts + [0])})
 
 
 def test_invalid_params_raise():

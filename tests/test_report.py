@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from powg import FamilyParams, MatchingPolynomial, report
 from powg.cli import main
+from powg.formulas import FAMILY_TAGS, M5_ORDER_2_NOTE, MODES, FamilyTable, paper_hosoya_index
 from powg.report import JSON_SAFE_INT, jsonable, render_report, strip_timings, verify_cases
 
 # sha256 of the timing-stripped report below, recorded when the
@@ -197,6 +198,102 @@ def test_render_report_record_path_edges(name):
 
 def test_render_report_ladder_matches_json_oracle():
     doc = strip_timings(verify_cases([2, 3, 4, 5, 6], [3, 5, 7], skip_index_above=24))
+    assert render_report(doc) == json_oracle(doc)
+
+
+LADDER = [(k, p) for k in range(2, 7) for p in (3, 5, 7)]
+
+
+def family_table_writer_mismatches(cases) -> list:
+    """The (k, p) whose family tables in both modes, written as one document
+    {mode: table} so that they share the text between counts, come out of
+    render_report otherwise than json.dumps(jsonable(...), sort_keys=True,
+    indent=2)."""
+    bad = []
+    for k, p in cases:
+        doc = {mode: paper_hosoya_index(k, p, mode)[1] for mode in MODES}
+        if render_report(doc) != json.dumps(jsonable(doc), sort_keys=True, indent=2) + "\n":
+            bad.append((k, p))
+    return bad
+
+
+@pytest.mark.parametrize("k,p", LADDER)
+def test_family_table_writer_matches_json_oracle(k, p):
+    for mode in MODES:
+        table = paper_hosoya_index(k, p, mode)[1]
+        assert render_report(table) == json_oracle(list(table))
+    assert family_table_writer_mismatches([(k, p)]) == []
+
+
+def test_family_tables_of_two_cases_in_one_document():
+    # equal indentation and another layout: the text between counts differs
+    doc = {"cases": [{"t": paper_hosoya_index(k, p, "printed")[1]} for k, p in ((2, 3), (2, 5))]}
+    assert render_report(doc) == json_oracle(doc)
+    assert render_report(doc["cases"]) == json_oracle(doc["cases"])
+
+
+@pytest.mark.parametrize("counts", [
+    [JSON_SAFE_INT], [JSON_SAFE_INT + 1], [-JSON_SAFE_INT], [-JSON_SAFE_INT - 1],
+    [JSON_SAFE_INT, JSON_SAFE_INT + 1, -JSON_SAFE_INT, -JSON_SAFE_INT - 1, 0],
+])
+def test_family_table_quotes_counts_beyond_2_53(counts):
+    table = FamilyTable({"M2": (range(1, len(counts) + 1), counts)})
+    text = render_report(table)
+    assert text == json_oracle(table)
+    assert [row["count"] for row in json.loads(text)] == \
+        [str(c) if abs(c) > JSON_SAFE_INT else c for c in counts]
+
+
+# 5,001 digits, past the 4,300 that int.__str__ accepts on Python 3.11+
+BIG = 10 ** 5000 + 1
+BIG_DIGITS = "1" + "0" * 4999 + "1"
+
+
+def test_ints_past_the_digit_limit_are_written():
+    rows = [{"family": "M5", "order": 2, "count": BIG_DIGITS, "note": M5_ORDER_2_NOTE},
+            {"family": "M5", "order": 3, "count": "-" + BIG_DIGITS, "note": None}]
+    table = FamilyTable({"M5": (range(2, 4), [BIG, -BIG])})
+    assert report._record_columns([{"n": BIG}, {"n": -BIG}]) is not None
+    for doc, expected in [
+        ({"n": BIG, "m": -BIG}, {"n": BIG_DIGITS, "m": "-" + BIG_DIGITS}),
+        ([{"n": BIG}, {"n": -BIG}], [{"n": BIG_DIGITS}, {"n": "-" + BIG_DIGITS}]),
+        (table, rows),
+        ({"x": [table]}, {"x": [rows]}),
+    ]:
+        assert jsonable(doc) == expected
+        assert render_report(doc) == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
+@st.composite
+def family_tables(draw):
+    """A table of up to four families, each with up to four orders; M5 is
+    split at its first order, which carries the note."""
+    families = {}
+    for family in draw(st.lists(st.sampled_from(FAMILY_TAGS), unique=True, max_size=4)):
+        start, size = draw(st.integers(min_value=1, max_value=4)), draw(st.integers(0, 4))
+        counts = st.one_of(st.integers(), st.sampled_from(SAFE_EDGE_INTS))
+        families[family] = (range(start, start + size),
+                            draw(st.lists(counts, min_size=size, max_size=size)))
+    return FamilyTable(families)
+
+
+@st.composite
+def documents_with_tables(draw):
+    """One to three tables at the top level, in a list, or in a nested dict,
+    beside other values."""
+    tables = draw(st.lists(family_tables(), min_size=1, max_size=3))
+    depth = draw(st.sampled_from(["top", "list", "dict"]))
+    if depth == "top":
+        return tables[0]
+    if depth == "list":
+        return [*tables, draw(documents)]
+    return {"cases": {"paper": dict(zip(("corrected", "printed", "x"), tables)),
+                      "oracle": draw(documents)}}
+
+
+@settings(max_examples=200, deadline=None)
+@given(documents_with_tables())
+def test_render_report_tables_match_json_oracle(doc):
     assert render_report(doc) == json_oracle(doc)
 
 
