@@ -29,7 +29,7 @@ from .formulas import (
 from .graphs import build_power_graph, export
 from .groups import FamilyParams, FiniteGroup, GroupError, build_cyclic, build_family, \
     cyclic_subgroups, load_cayley_table, partition
-from .matching import MatchingLimitError, matching_polynomial
+from .matching import MatchingLimitError, _digits, matching_polynomial
 from .report import DEFAULT_SKIP_INDEX_ABOVE, CrossCheckError, render_report, verify_cases
 
 EXIT_OK = 0
@@ -186,7 +186,7 @@ def _cmd_invariant(args) -> int:
     elif args.which == "matching-poly":
         print(matching_polynomial(graph).render())
     else:  # hosoya-index
-        print(matching_polynomial(graph).hosoya_index)
+        print(_digits(matching_polynomial(graph).hosoya_index))
     return EXIT_OK
 
 
@@ -210,10 +210,10 @@ def _cmd_paper(args) -> int:
         print(f"total={sum(counts.values())}")
     else:  # index
         total, rows = paper_hosoya_index(k, p, mode)
-        print(f"total={total}")
+        print(f"total={_digits(total)}")
         for row in rows:
             suffix = f"  # {row['note']}" if row["note"] else ""
-            print(f"{row['family']}[{row['order']}]={row['count']}{suffix}")
+            print(f"{row['family']}[{row['order']}]={_digits(row['count'])}{suffix}")
     return EXIT_OK
 
 

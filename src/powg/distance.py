@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
-from fractions import Fraction
 from itertools import zip_longest
 
 from .graphs import Graph, _mask, _ordered
@@ -77,12 +76,13 @@ class DistanceProfile(namedtuple("DistanceProfile", "graph layers")):
 
     def rs_polynomial(self) -> RationalExponentPolynomial:
         """Sum of x^(rs(v) + rs(w)) over all edges vw; graph must be connected.
-        Summed on the integer scale lcm(1..diam): one Fraction per exponent.
-        The vertices are grouped by status, computed once per layer tuple
-        (distinct tuples can share one).  Each unordered pair of groups is
-        one popcount pass over the rows of the smaller ANDed with the other's
-        mask; it sees a cross edge once and an inner edge from both ends, so
-        the cross counts are doubled and every count halved."""
+        Summed on the integer scale lcm(1..diam), and handed over on that
+        scale as integer numerators.  The vertices are grouped by status,
+        computed once per layer tuple (distinct tuples can share one).  Each
+        unordered pair of groups is one popcount pass over the rows of the
+        smaller ANDed with the other's mask; it sees a cross edge once and an
+        inner edge from both ends, so the cross counts are doubled and every
+        count halved."""
         n, adj = self.graph.n, self.graph.adj
         by_layers: dict[tuple[int, ...], list[int]] = {}
         for v, sizes in enumerate(self.layers):
@@ -102,8 +102,8 @@ class DistanceProfile(namedtuple("DistanceProfile", "graph layers")):
                 rows, mask = ((b_vertices, a_mask) if len(b_vertices) < len(a_vertices)
                               else (a_vertices, b_mask))
                 terms[a + b] += 2 * _ordered(adj, rows, mask)
-        return RationalExponentPolynomial(  # descending already: copied as it is
-            {Fraction(e, scale): c // 2 for e, c in sorted(terms.items(), reverse=True) if c})
+        return RationalExponentPolynomial.from_scaled(
+            scale, {e: c // 2 for e, c in terms.items() if c})
 
 
 def distance_profile(graph: Graph) -> DistanceProfile:
@@ -126,6 +126,8 @@ def hosoya_polynomial(graph: Graph) -> DistanceDistribution:
 
 def reciprocal_status(graph: Graph, v: int) -> Fraction:
     """rs(v) = sum over w != v of 1/d(v, w), as an exact rational."""
+    from fractions import Fraction  # loaded only for a caller that asks for one
+
     sizes = _layer_sizes(graph, v)
     if sum(sizes) != graph.n:
         raise ValueError(f"graph is disconnected: {v} does not reach every vertex")
@@ -134,42 +136,76 @@ def reciprocal_status(graph: Graph, v: int) -> Fraction:
 
 class RationalExponentPolynomial:
     """Polynomial with exact rational exponents and positive integer
-    coefficients, used for the reciprocal-status edge polynomial.  Fraction
-    exponents in descending order with int coefficients, as rs_polynomial
-    gives them, are copied; other terms are coerced and sorted."""
+    coefficients, used for the reciprocal-status edge polynomial.
 
-    def __init__(self, terms: dict[Fraction, int]):
+    counts maps each exponent's integer numerator over one common
+    denominator, scale, the least that fits, to its coefficient in
+    descending order; term_strings and render write each exponent from it
+    with one gcd.  from_scaled takes numerators as they were summed.  Only
+    the constructor, which coerces any exact rational exponents, and terms,
+    a fresh Fraction-keyed dict, load the fractions module.
+    """
+
+    __slots__ = ("scale", "counts")
+
+    def __init__(self, terms: dict) -> None:
+        from fractions import Fraction
+
         for e, c in terms.items():
             if c <= 0:
                 raise ValueError(f"coefficient {c} at exponent {e} is not positive")
-        exps = list(terms)
-        if (set(map(type, exps)) == {Fraction} and set(map(type, terms.values())) == {int}
-                and all(map(Fraction.__gt__, exps, exps[1:]))):
-            self.terms = dict(terms)
-        else:
-            self.terms = dict(sorted(((Fraction(e), int(c)) for e, c in terms.items()),
-                                     reverse=True))
+        exps = list(map(Fraction, terms))
+        scale = math.lcm(*(e.denominator for e in exps))
+        self._store(scale, {e.numerator * (scale // e.denominator): int(c)
+                            for e, c in zip(exps, terms.values())})
+
+    @classmethod
+    def from_scaled(cls, scale: int, counts: dict[int, int]) -> RationalExponentPolynomial:
+        """The polynomial with the term c x^(e/scale) for each integer
+        numerator e and positive int coefficient c in counts, any order."""
+        poly = cls.__new__(cls)
+        poly._store(scale, counts)
+        return poly
+
+    def _store(self, scale: int, counts: dict[int, int]) -> None:
+        common = math.gcd(scale, *counts)
+        if common > 1:  # the least common denominator, so that == compares fields
+            scale //= common
+            counts = {e // common: c for e, c in counts.items()}
+        self.scale = scale
+        self.counts = dict(sorted(counts.items(), reverse=True))
+
+    @property
+    def terms(self) -> dict:
+        """A fresh dict of Fraction exponent -> coefficient, descending."""
+        from fractions import Fraction
+
+        return {Fraction(e, self.scale): c for e, c in self.counts.items()}
 
     def coefficient_total(self) -> int:
-        return sum(self.terms.values())
-
-    @staticmethod
-    def exponent_string(e: Fraction) -> str:
-        return str(e.numerator) if e.denominator == 1 else f"{e.numerator}/{e.denominator}"
+        return sum(self.counts.values())
 
     def term_strings(self) -> dict[str, int]:
-        return {self.exponent_string(e): c for e, c in self.terms.items()}
+        """Exponent text -> coefficient, descending; each exponent is written
+        as "a" or as the reduced "a/b", from one gcd."""
+        scale, texts = self.scale, []
+        for e in self.counts:
+            common = math.gcd(e, scale)
+            texts.append(str(e // common) if common == scale
+                         else f"{e // common}/{scale // common}")
+        return dict(zip(texts, self.counts.values()))
 
     def render(self) -> str:
         """Descending exponents, terms as "c·x^e", halves rendered "a/2"."""
-        parts = [f"{c}·x^{self.exponent_string(e)}" for e, c in self.terms.items()]
+        parts = [f"{c}·x^{e}" for e, c in self.term_strings().items()]
         return " + ".join(parts) if parts else "0"
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RationalExponentPolynomial) and self.terms == other.terms
+        return (isinstance(other, RationalExponentPolynomial) and self.scale == other.scale
+                and self.counts == other.counts)
 
     def __repr__(self) -> str:
-        return f"RationalExponentPolynomial({self.terms!r})"
+        return f"RationalExponentPolynomial.from_scaled({self.scale}, {self.counts!r})"
 
 
 def rs_hosoya_polynomial(graph: Graph) -> RationalExponentPolynomial:

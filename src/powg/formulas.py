@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 
 from .distance import RationalExponentPolynomial
 from .groups import FamilyParams
@@ -87,11 +86,10 @@ def paper_rs_hosoya(k: int, p: int, mode: str = "printed") -> RationalExponentPo
     half, quarter = params.half, params.quarter
 
     eh2_exp = 3 * n - 2 if mode == "printed" else 3 * n - 1
-    terms: dict[Fraction, int] = {}
+    terms: dict[int, int] = {}
 
     def add(exp: int, coeff: int) -> None:
-        key = Fraction(exp)
-        terms[key] = terms.get(key, 0) + coeff
+        terms[exp] = terms.get(exp, 0) + coeff
 
     add(15 * quarter - 2, 1)                      # e-u
     add(7 * half - 2, n - 2)                      # e-h1
@@ -100,7 +98,7 @@ def paper_rs_hosoya(k: int, p: int, mode: str = "printed") -> RationalExponentPo
     add(11 * quarter, half)                       # u-h3
     add(3 * n - 2, (n - 2) * (n - 3) // 2)        # within H1
     add(2 * n + 2, quarter)                       # partner pairs
-    return RationalExponentPolynomial(terms)
+    return RationalExponentPolynomial.from_scaled(1, terms)  # integer exponents
 
 
 def _family_table(params: FamilyParams, mode: str) -> dict[str, tuple[range, list[int]]]:

@@ -41,8 +41,18 @@ class MatchingPolynomial(namedtuple("MatchingPolynomial", "coeffs")):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def render(self) -> str:
-        body = ", ".join(f"m_{i}={c}" for i, c in enumerate(self.coeffs))
-        return f"{body}\nZ={self.hosoya_index}"
+        body = ", ".join(f"m_{i}={_digits(c)}" for i, c in enumerate(self.coeffs))
+        return f"{body}\nZ={_digits(self.hosoya_index)}"
+
+
+def _digits(value: int) -> str:
+    """str(value), also past Python 3.11's int-to-str digit limit."""
+    try:
+        return str(value)
+    except ValueError:
+        from decimal import Decimal  # only a number past the limit loads it
+
+        return str(Decimal(value))
 
 
 def _convolve(a: list[int], b: list[int]) -> list[int]:

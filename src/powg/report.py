@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import json
 import operator
+import sys
 import time
 from collections import Counter
-from decimal import Decimal
-from fractions import Fraction
 from itertools import chain
 
 from . import __version__
@@ -30,7 +29,7 @@ from .formulas import (
 )
 from .graphs import build_power_graph, classify_edges, verify_structure_theorem
 from .groups import FamilyParams, build_family, partition
-from .matching import MatchingEngine
+from .matching import MatchingEngine, _digits
 
 JSON_SAFE_INT = 1 << 53
 _encode_str = json.encoder.encode_basestring_ascii  # the C escaper json itself uses
@@ -54,14 +53,14 @@ class ResultCache:
 
 
 def jsonable(value):
-    """Recursively convert to JSON-safe data; big ints become strings, and a
-    family table becomes the list of its dict rows."""
+    """Recursively convert to JSON-safe data; big ints become strings, a
+    Fraction its "a/b" text or its integer, and a family table becomes the
+    list of its dict rows.  The fractions module is looked up, not imported:
+    no Fraction can exist before it is loaded."""
     if isinstance(value, bool):
         return value
     if isinstance(value, int):
         return _digits(value) if abs(value) > JSON_SAFE_INT else value
-    if isinstance(value, Fraction):
-        return str(value) if value.denominator != 1 else jsonable(value.numerator)
     if isinstance(value, float):
         return value
     if isinstance(value, dict):
@@ -70,15 +69,10 @@ def jsonable(value):
         return [jsonable(v) for v in value]
     if value is None or isinstance(value, str):
         return value
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(value, fractions.Fraction):
+        return str(value) if value.denominator != 1 else jsonable(value.numerator)
     raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def _digits(value: int) -> str:
-    """str(value), also past Python 3.11's int-to-str digit limit."""
-    try:
-        return str(value)
-    except ValueError:
-        return str(Decimal(value))
 
 
 def _oracle_index(graph, k, p):

@@ -11,10 +11,11 @@ import pytest
 
 import powg
 from conftest import cayley_text, oracle_groups
-from powg import GroupError, MatchingEngine, MatchingLimitError, build_cyclic, \
-    build_power_graph, element_order, export, load_cayley_table, telephone_number
+from powg import GroupError, MatchingEngine, MatchingLimitError, MatchingPolynomial, \
+    build_cyclic, build_power_graph, element_order, export, load_cayley_table, telephone_number
 from powg import cli
 from powg.cli import UsageError, build_parser, main
+from powg.formulas import M5_ORDER_2_NOTE, FamilyTable
 from powg.report import jsonable, strip_timings
 
 
@@ -374,3 +375,53 @@ def test_commands_load_no_dataclasses_inspect_or_pathlib():
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "loaded: []"
+
+
+# Runs every command that prints a reciprocal-status exponent or a count
+# through main in a python -S interpreter, then names the number modules
+# which the import or any command loaded.
+NUMBER_MODULES_PROBE = """\
+import os, sys
+sys.path.insert(0, sys.argv[1])
+from powg.cli import main
+for argv in (["verify", "--k", "2", "--p", "3", "--out", os.devnull],
+             ["invariant", "rs-hosoya", "--cyclic", "12"],
+             ["paper", "eval", "--k", "2", "--p", "3", "--which", "rs-hosoya"],
+             ["paper", "eval", "--k", "2", "--p", "3", "--which", "index"],
+             ["group", "--cyclic", "8", "info"]):
+    assert main(argv) == 0, argv
+print("loaded:", sorted({"fractions", "decimal"} & set(sys.modules)))
+"""
+
+
+def test_commands_load_no_fractions_or_decimal():
+    src = os.path.dirname(os.path.dirname(powg.__file__))
+    res = subprocess.run([sys.executable, "-S", "-c", NUMBER_MODULES_PROBE, src],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "loaded: []"
+
+
+# 5,001 digits, past the 4,300 that int.__str__ accepts on Python 3.11+
+BIG = 10 ** 5000 + 1
+BIG_DIGITS = "1" + "0" * 4999 + "1"
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_text_outputs_write_ints_past_the_digit_limit(sign, monkeypatch, capsys):
+    value, digits = sign * BIG, "-" * (sign < 0) + BIG_DIGITS
+    other = "-" * (sign > 0) + BIG_DIGITS  # the digits of -value
+    assert MatchingPolynomial((1, value, -value)).render() == \
+        f"m_0=1, m_1={digits}, m_2={other}\nZ=1"
+
+    monkeypatch.setattr(cli, "matching_polynomial", lambda graph: MatchingPolynomial((value,)))
+    assert main(["invariant", "matching-poly", "--cyclic", "4"]) == 0
+    assert capsys.readouterr().out == f"m_0={digits}\nZ={digits}\n"
+    assert main(["invariant", "hosoya-index", "--cyclic", "4"]) == 0
+    assert capsys.readouterr().out == digits + "\n"
+
+    table = FamilyTable({"M5": (range(2, 4), [value, -value])})
+    monkeypatch.setattr(cli, "paper_hosoya_index", lambda k, p, mode: (value, table))
+    assert main(["paper", "eval", "--k", "2", "--p", "3", "--which", "index"]) == 0
+    assert capsys.readouterr().out == \
+        f"total={digits}\nM5[2]={digits}  # {M5_ORDER_2_NOTE}\nM5[3]={other}\n"

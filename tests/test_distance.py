@@ -16,6 +16,7 @@ from powg import (
     diameter,
     distance_profile,
     hosoya_polynomial,
+    paper_rs_hosoya,
     reciprocal_status,
     rs_hosoya_polynomial,
     wiener_index,
@@ -166,7 +167,7 @@ def test_rs_classes_merge_layer_tuples_of_equal_status():
 
 
 @pytest.mark.parametrize("terms", [
-    {Fraction(9, 2): 3, Fraction(4): 1, Fraction(1, 3): 2},  # stored form: copied
+    {Fraction(9, 2): 3, Fraction(4): 1, Fraction(1, 3): 2},  # descending already
     {Fraction(4): 1, Fraction(9, 2): 3, Fraction(1, 3): 2},  # out of order
     {Fraction(9, 2): 3, 4: 1, Fraction(1, 3): 2},  # an int exponent
     {Fraction(9, 2): 3, Fraction(4): True, Fraction(1, 3): 2},  # a bool coefficient
@@ -178,6 +179,43 @@ def test_rs_polynomial_terms_are_exact_and_descending(terms):
     assert {type(c) for c in poly.terms.values()} == {int}
     poly.terms[Fraction(9, 2)] = 0
     assert terms[Fraction(9, 2)] == 3  # the caller's dict is not shared
+
+
+@st.composite
+def scaled_term_dicts(draw):
+    """(terms, scale, counts): terms maps Fraction or int exponents with
+    denominators 1..12 to positive coefficients; counts holds the same terms
+    as integer numerators over scale, a multiple of their common denominator."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 8))):
+        num, den = draw(st.integers(-60, 240)), draw(st.integers(1, 12))
+        key = num // den if num % den == 0 and draw(st.booleans()) else Fraction(num, den)
+        terms[key] = draw(st.integers(1, 10 ** 6))
+    exps = list(map(Fraction, terms))
+    scale = math.lcm(*(e.denominator for e in exps)) * draw(st.integers(1, 6))
+    counts = {e.numerator * (scale // e.denominator): c for e, c in zip(exps, terms.values())}
+    return terms, scale, counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(scaled_term_dicts())
+def test_rs_polynomial_integer_scale_matches_fraction_terms(case):
+    terms, scale, counts = case
+    by_fraction = RationalExponentPolynomial(terms)
+    by_numerator = RationalExponentPolynomial.from_scaled(scale, counts)
+    expected = dict(sorted(((Fraction(e), c) for e, c in terms.items()), reverse=True))
+    texts = {str(e): c for e, c in expected.items()}
+    for poly in (by_fraction, by_numerator):
+        assert list(poly.terms.items()) == list(expected.items())
+        assert {type(e) for e in poly.terms} <= {Fraction}
+        assert list(poly.term_strings().items()) == list(texts.items())
+        assert poly.render() == (" + ".join(f"{c}·x^{e}" for e, c in texts.items()) or "0")
+        assert poly.coefficient_total() == sum(terms.values())
+    assert by_fraction == by_numerator
+    for e, c in counts.items():  # one coefficient more is another polynomial
+        assert by_fraction != RationalExponentPolynomial.from_scaled(scale, {**counts, e: c + 1})
+    halved = RationalExponentPolynomial.from_scaled(2 * scale, counts)  # every exponent halved
+    assert (halved == by_fraction) == (set(counts) <= {0})
 
 
 @pytest.mark.parametrize("coeff", [0, -1])
@@ -257,6 +295,34 @@ RS_FULL_SHA256 = "e29b77b1a57d8f1212e0dcab5377ce8672459c34855e9d76062dc76b42c8d9
 
 def test_rs_polynomial_pinned_on_the_ladder():
     assert rs_digest(LADDER) == RS_LADDER_SHA256
+
+
+def rs_text_digest(cases) -> str:
+    """sha256 over a "k p" line and then, for the oracle polynomial and for
+    paper_rs_hosoya in printed and in corrected mode, one "exponent
+    coefficient" line per term of term_strings() and the render() line, for
+    every case."""
+    digest = hashlib.sha256()
+    for k, p in cases:
+        digest.update(f"{k} {p}\n".encode("utf-8"))
+        polys = [rs_hosoya_polynomial(family_graph(k, p)),
+                 *(paper_rs_hosoya(k, p, mode) for mode in ("printed", "corrected"))]
+        for poly in polys:
+            for exponent, count in poly.term_strings().items():
+                digest.update(f"{exponent} {count}\n".encode("utf-8"))
+            digest.update(f"{poly.render()}\n".encode("utf-8"))
+    return digest.hexdigest()
+
+
+# recorded while every exponent was a Fraction, before they were kept as
+# integer numerators on one scale; CI checks RS_TEXT_FULL_SHA256 over every
+# valid order
+RS_TEXT_LADDER_SHA256 = "a9b5e5135d88822ad5eda903dd7f10cc4836ce4e04eb0e6520d0d69512bad8f1"
+RS_TEXT_FULL_SHA256 = "5fff3a85f56baf0759e94e1ad5f789cf73374cf1f455fa2951202e87658dda0c"
+
+
+def test_rs_text_pinned_on_the_ladder():
+    assert rs_text_digest(LADDER) == RS_TEXT_LADDER_SHA256
 
 
 @st.composite
