@@ -134,7 +134,7 @@ def build_parser(command: str | None = None) -> _Parser:
                         metavar="N",
                         help="skip the Hosoya index (the decomposition engine and its "
                              "arithmetic cross-check) above this graph order "
-                             "(default %(default)s)")
+                             "(default %(default)s, the largest supported order)")
         sp.add_argument("--no-cache", action="store_true",
                         help="accepted and ignored: verify keeps no cache")
     return parser

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import math
 import operator
+from itertools import accumulate
 
 from .distance import RationalExponentPolynomial
 from .groups import FamilyParams
-from .matching import _add_into, _add_universal, _convolve, _k_n_row
+from .matching import _add_into, _add_universal, _convolve, _ferrers_rooks, _k_n_row
 
 MODES = ("printed", "corrected")
 
@@ -255,22 +256,13 @@ def _chain_matchings(xs: list[int], ys: list[int], gens: int = 0) -> list[int]:
     """Matching polynomial of gens universal vertices joined to two cliques,
     with xs[a] X vertices at level a and ys[b] Y vertices at level b, where
     level b of Y sees the X levels a <= b.  The cross edges are a Ferrers
-    board with the heights h sorted level by level; its rook numbers take
-    r_t += (h - t + 1) r_(t-1) per column (Goldman, Joichi and White, "Rook
-    theory I", 1975).  t rooks leave cliques of |X| - t and |Y| - t
-    vertices, so before the gens join, m = sum_t r_t x^t K(|X|-t) K(|Y|-t)."""
-    rooks = [1]
-    for b, size in enumerate(ys):
-        height = sum(xs[:b + 1])
-        for _ in range(size):
-            rooks = [r + (height - t + 1) * rooks[t - 1] if t else r
-                     for t, r in enumerate(rooks + [0])]
-            if rooks[-1] == 0:
-                rooks.pop()
+    board whose columns, level by level, have the heights xs[0] + .. + xs[b].
+    t rooks on it leave cliques of |X| - t and |Y| - t vertices, so before
+    the gens join, m = sum_t r_t x^t K(|X|-t) K(|Y|-t)."""
+    heights = (h for h, size in zip(accumulate(xs), ys) for _ in range(size))
     nx, ny = sum(xs), sum(ys)
     poly: list[int] = []
-    for t, r in enumerate(rooks):
+    for t, r in enumerate(_ferrers_rooks(heights)):
         _add_into(poly, _convolve(_k_n_row(nx - t, "corrected"),
                                   _k_n_row(ny - t, "corrected")), r, t)
     return _add_universal(poly, nx + ny, gens)
-

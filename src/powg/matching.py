@@ -2,13 +2,16 @@
 
 matching_polynomial counts i-edge matchings for every i with MatchingEngine,
 a decomposition recursion memoized on vertex-subset bitmasks: components
-are factored, a complete subgraph is read from the K_n row, universal
-vertices are added one at a time to the count of the rest, and any other
-subgraph pivots on a vertex of maximum degree, with neighbours of equal
-closed neighbourhood taken once.  The oracle brute_force_matchings shares
-none of that and enumerates every matching of up to 16 vertices; the tests
-keep a second engine, memoized on closed-twin class counts, in
-tests/oracles.py.  All counts are exact Python integers.
+are factored, all two-vertex components at once as one binomial row, and
+each product of several factors is memoized too; a complete subgraph is read
+from the K_n row, universal vertices are added one at a time to the count
+of the rest, two cliques whose non-edges form a Ferrers board are counted
+from that board's rook numbers, and any other subgraph pivots on a vertex
+of maximum degree, with neighbours of equal closed neighbourhood taken
+once.  The oracle brute_force_matchings shares none of that and enumerates
+every matching of up to 16 vertices; the tests keep a second engine,
+memoized on closed-twin class counts, in tests/oracles.py.  All counts are
+exact Python integers.
 """
 
 from __future__ import annotations
@@ -78,6 +81,20 @@ def _add_universal(poly: list[int], n: int, count: int) -> list[int]:
     return poly
 
 
+def _ferrers_rooks(heights) -> list[int]:
+    """Rook numbers r_0, r_1, ... of a Ferrers board, given its column
+    heights in ascending order: t - 1 rooks in the lower columns leave
+    h - t + 1 free rows in a column of height h, so r_t += (h - t + 1) r_(t-1)
+    per column (Goldman, Joichi and White, "Rook theory I", 1975)."""
+    rooks = [1]
+    for h in heights:
+        rooks = [r + (h - t + 1) * rooks[t - 1] if t else r
+                 for t, r in enumerate(rooks + [0])]
+        if rooks[-1] == 0:
+            rooks.pop()
+    return rooks
+
+
 def _add_into(total: list[int], row: list[int], weight: int, shift: int = 0) -> None:
     """total += weight * x^shift * row, extending total as needed."""
     total.extend([0] * (len(row) + shift - len(total)))
@@ -88,25 +105,36 @@ def _add_into(total: list[int], row: list[int], weight: int, shift: int = 0) -> 
 class MatchingEngine:
     """One matching-polynomial computation by decomposition on vertex masks.
 
-    Every connected subgraph of two or more vertices is memoized on its
-    vertex mask and solved by the first rule that holds on it:
+    A subgraph is split into components.  Its c two-vertex components are
+    multiplied in as one row (1 + x)^c, and a product of two or more factors
+    is memoized on (the masks of its larger components, c): removing one
+    vertex of a pair or another leaves the same product.  Every connected
+    subgraph of three or more vertices is memoized on its vertex mask and
+    solved by the first rule that holds on it:
     - complete: every vertex is universal, so it is K_n, read from the
       closed-form row;
     - universal: r vertices see every other vertex; the rest is solved on
       its own and the r vertices are added one at a time (_add_universal);
+    - chain leaf: the complement is connected and bipartite, so its sides X
+      and Y are cliques, and the sets X - N(y) are nested, so the non-edges
+      form a Ferrers board with rook numbers r_j.  Inclusion-exclusion over
+      the non-edges a matching of K_n would use gives
+      m_i = sum_j (-1)^j r_j m_(i-j)(K_(n-2j));
     - pivot: a vertex v of maximum degree is unmatched, or matched to a
       neighbour u.  Neighbours with equal closed neighbourhoods are twins, so
       removing v and either one leaves isomorphic graphs: each such group is
       one subproblem weighted by its size.
     Every rule is checked on the live subgraph, so the engine is exact on
-    any graph.  The memo lives for a single run and holds at most MEMO_LIMIT
-    entries; a run that exhausts memory drops it and raises
-    MatchingLimitError.
+    any graph.  The two memos live for a single run and hold at most
+    MEMO_LIMIT entries together; a run that exhausts memory drops both and
+    raises MatchingLimitError.
     """
 
     def __init__(self, graph: Graph):
         self.graph = graph
         self.memo: dict[int, list[int]] = {}
+        self.products: dict[tuple[tuple[int, ...], int], list[int]] = {}
+        self.leaf_hits = 0
 
     def run(self) -> MatchingPolynomial:
         try:
@@ -116,23 +144,48 @@ class MatchingEngine:
                 f"recursion depth exceeded at {self.graph.n} vertices") from None
         except (MemoryError, SystemError):
             # CPython 3.11 raises SystemError when it cannot allocate a
-            # frame; dropping the memo frees the room to raise and report
+            # frame; dropping the memos frees the room to raise and report
             self.memo.clear()
+            self.products.clear()
             raise MatchingLimitError(
                 f"memory exhausted at {self.graph.n} vertices") from None
         return MatchingPolynomial(tuple(coeffs))
 
     @property
     def stats(self) -> dict[str, int]:
-        # every memo miss stores one entry or raises, so the two are equal
-        return {"memo_entries": len(self.memo), "subproblems": len(self.memo)}
+        # every memo miss stores one entry or raises, so the first two are equal
+        return {"memo_entries": len(self.memo), "subproblems": len(self.memo),
+                "product_entries": len(self.products), "leaf_hits": self.leaf_hits}
+
+    def _store(self, table: dict, key, value: list[int]) -> None:
+        """table[key] = value, unless the two memos are full."""
+        if len(self.memo) + len(self.products) >= MEMO_LIMIT:
+            raise MatchingLimitError(
+                f"memo entry cap {MEMO_LIMIT} exceeded at {self.graph.n} vertices"
+            )
+        table[key] = value
 
     def _poly(self, mask: int) -> list[int]:
-        result = [1]
+        """The matching polynomial of the subgraph on mask; the list may be
+        a memo entry, so callers must not change it."""
+        big, pairs = [], 0
         for comp in _components(self.graph.adj, mask):
-            if comp & (comp - 1):
-                result = _convolve(result, self._connected_poly(comp))
-        return result
+            size = comp.bit_count()
+            if size > 2:
+                big.append(comp)
+            elif size == 2:
+                pairs += 1
+        row = [math.comb(pairs, j) for j in range(pairs + 1)]  # (1 + x)^pairs
+        if len(big) + (pairs > 0) < 2:  # one factor or none
+            return self._connected_poly(big[0]) if big else row
+        key = (tuple(big), pairs)  # components come ordered by least vertex
+        total = self.products.get(key)
+        if total is None:
+            total = row
+            for comp in big:
+                total = _convolve(total, self._connected_poly(comp))
+            self._store(self.products, key, total)
+        return total
 
     def _connected_poly(self, cmask: int) -> list[int]:
         total = self.memo.get(cmask)
@@ -151,12 +204,54 @@ class MatchingEngine:
             rest = cmask ^ universal
             total = _add_universal(self._poly(rest), rest.bit_count(), universal.bit_count())
         else:
-            total = self._pivot_poly(cmask)
-        if len(self.memo) >= MEMO_LIMIT:
-            raise MatchingLimitError(
-                f"memo entry cap {MEMO_LIMIT} exceeded at {self.graph.n} vertices"
-            )
-        self.memo[cmask] = total
+            total = self._chain_leaf(cmask)
+            if total is None:
+                total = self._pivot_poly(cmask)
+            else:
+                self.leaf_hits += 1
+        self._store(self.memo, cmask, total)
+        return total
+
+    def _chain_leaf(self, cmask: int) -> list[int] | None:
+        """The chain-leaf count of a connected subgraph with no universal
+        vertex, or None where the rule does not hold."""
+        adj = self.graph.adj
+        # 2-colour the complement by BFS layers from the least vertex; it is
+        # bipartite unless two vertices of one layer are non-adjacent
+        sides = [0, 0]
+        seen = frontier = cmask & -cmask
+        parity = 0
+        while frontier:
+            sides[parity] |= frontier
+            nxt, m = 0, frontier
+            while m:
+                low = m & -m
+                non = cmask & ~adj[low.bit_length() - 1]  # with the vertex itself
+                if non & frontier != low:
+                    return None
+                nxt |= non
+                m ^= low
+            frontier = nxt & ~seen
+            seen |= frontier
+            parity ^= 1
+        if seen != cmask:  # the complement is disconnected
+            return None
+        xs, m = sides
+        boards = []
+        while m:
+            low = m & -m
+            boards.append(xs & ~adj[low.bit_length() - 1])
+            m ^= low
+        boards.sort(key=int.bit_count)
+        for lower, upper in zip(boards, boards[1:]):
+            if lower & ~upper:
+                return None
+        n = cmask.bit_count()
+        # a connected union of two cliques has a perfect or near-perfect
+        # matching, so the j = 0 row sets the length and no zero trails
+        total: list[int] = []
+        for j, r in enumerate(_ferrers_rooks(map(int.bit_count, boards))):
+            _add_into(total, _k_n_row(n - 2 * j, "corrected"), -r if j & 1 else r, j)
         return total
 
     def _pivot_poly(self, cmask: int) -> list[int]:
@@ -172,7 +267,7 @@ class MatchingEngine:
         rest = cmask ^ 1 << v
         # v stays unmatched, or is matched to one neighbour of each group
         # of closed twins, weighted by the group's size
-        total = self._poly(rest)
+        total = list(self._poly(rest))
         groups: dict[int, list[int]] = {}
         nbrs = adj[v] & cmask
         while nbrs:

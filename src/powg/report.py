@@ -28,12 +28,12 @@ from .formulas import (
     paper_rs_hosoya,
 )
 from .graphs import build_power_graph, classify_edges, verify_structure_theorem
-from .groups import FamilyParams, build_family, partition
+from .groups import MAX_ORDER, FamilyParams, build_family, partition
 from .matching import MatchingEngine, _digits
 
 JSON_SAFE_INT = 1 << 53
 _encode_str = json.encoder.encode_basestring_ascii  # the C escaper json itself uses
-DEFAULT_SKIP_INDEX_ABOVE = 56
+DEFAULT_SKIP_INDEX_ABOVE = MAX_ORDER  # every valid case has its index
 
 
 class CrossCheckError(RuntimeError):

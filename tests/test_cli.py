@@ -219,11 +219,13 @@ def test_memory_exhaustion_in_the_engine_exits_3(error, tmp_path, monkeypatch, c
         return real(self, cmask)
 
     monkeypatch.setattr(MatchingEngine, "_connected_poly", starved)
-    engine = MatchingEngine(build_power_graph(build_cyclic(12)))
-    with pytest.raises(MatchingLimitError, match="^memory exhausted at 12 vertices$"):
+    # P(Z_60) needs thousands of memo entries: the chain leaf does not hold
+    # on it or on most of its subgraphs (P(Z_12) is one chain leaf)
+    engine = MatchingEngine(build_power_graph(build_cyclic(60)))
+    with pytest.raises(MatchingLimitError, match="^memory exhausted at 60 vertices$"):
         engine.run()
     assert engine.memo == {}
-    for argv, n in ((["invariant", "hosoya-index", "--cyclic", "12"], 12),
+    for argv, n in ((["invariant", "hosoya-index", "--cyclic", "60"], 60),
                     (["verify", "--k", "2", "--p", "3", "--out", str(tmp_path / "r.json")], 24)):
         assert main(argv) == 3, argv
         out, err = capsys.readouterr()

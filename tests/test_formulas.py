@@ -336,11 +336,21 @@ def test_pascal_chain_on_random_rows(t_row, powers):
     assert _pascal_chain(t_row, *powers) == [binomial_product(t_row, power) for power in powers]
 
 
+def engine_count_mismatches(cases) -> list[tuple[int, int]]:
+    """The cases where MatchingEngine on the family graph and
+    family_matching_polynomial disagree; CI runs it on every valid order."""
+    return [(k, p) for k, p in cases
+            if list(MatchingEngine(_family_graph(k, p)).run().coeffs)
+            != family_matching_polynomial(k, p)]
+
+
 def test_arithmetic_count_equals_the_engine_up_to_order_160():
     assert len(SMALL_CASES) == 12
-    for k, p in SMALL_CASES:
-        engine = MatchingEngine(_family_graph(k, p)).run()
-        assert family_matching_polynomial(k, p) == list(engine.coeffs), (k, p)
+    assert engine_count_mismatches(SMALL_CASES) == []
+
+
+def test_arithmetic_count_equals_the_engine_on_the_ladder():
+    assert engine_count_mismatches(LADDER) == []
 
 
 @pytest.mark.parametrize("k,p", LADDER)

@@ -31,12 +31,14 @@ from oracles import TwinEngine
 # (max-degree pivot) before the twin engine existed
 PINNED_CYCLIC_SHA256 = "30a4a6aec55ede780259e621a9e8acfd9a3171e721a9a3cef38deab2555f0042"
 
-# MatchingEngine memo entries (equal to its subproblem count on each graph),
-# recorded while the engine still joined complement components: the
-# universal-vertex rule searches the same subproblems on power graphs
-FAMILY_MEMO_ENTRIES = {(2, 3): 12, (2, 5): 14, (2, 7): 16, (3, 3): 71, (3, 5): 206}
-CYCLIC_MEMO_ENTRIES = (0, 1, 1, 1, 1, 2, 1, 1, 1, 2, 1, 9, 1, 2, 3,
-                       1, 1, 10, 1, 22, 3, 2, 1, 59, 1, 2, 1, 44, 1, 185)  # Z_1..Z_30
+# MatchingEngine (memo entries, product entries, leaf hits), recorded when the
+# chain leaf, the batched pairs and the product memo were added: the pairs
+# {y, y^3} no longer take a memo entry each, and every pivot at u that
+# removes one of them shares one product.  Memo entries equal subproblems.
+FAMILY_ENGINE_STATS = {(2, 3): (8, 7, 0), (2, 5): (8, 7, 0), (2, 7): (8, 7, 0),
+                       (3, 3): (13, 7, 5), (3, 5): (13, 7, 5)}
+CYCLIC_MEMO_ENTRIES = (0, 0, 1, 1, 1, 1, 1, 1, 1, 2, 1, 2, 1, 2, 2,
+                       1, 1, 2, 1, 2, 2, 2, 1, 2, 1, 2, 1, 2, 1, 179)  # Z_1..Z_30
 
 
 def test_small_graphs():
@@ -199,12 +201,42 @@ def test_memo_limit_is_graceful(monkeypatch):
         TwinEngine(g).run()
 
 
+def test_products_count_toward_the_memo_limit(monkeypatch):
+    # the connected memo alone fits in `entries`; its products push it over
+    g = build_power_graph(build_family(FamilyParams(2, 3)))
+    entries, products, _ = FAMILY_ENGINE_STATS[(2, 3)]
+    for limit in (entries, entries + products - 1):
+        monkeypatch.setattr(matching, "MEMO_LIMIT", limit)
+        with pytest.raises(MatchingLimitError, match=f"memo entry cap {limit} exceeded"):
+            MatchingEngine(g).run()
+    monkeypatch.setattr(matching, "MEMO_LIMIT", entries + products)
+    assert MatchingEngine(g).run().hosoya_index == 2911488
+
+
+@pytest.mark.parametrize("error", [MemoryError(),
+                                   SystemError("error return without exception set")])
+def test_memory_exhaustion_drops_both_memos(error, monkeypatch):
+    real = MatchingEngine._connected_poly
+
+    def starved(self, cmask):
+        if self.products:
+            raise error
+        return real(self, cmask)
+
+    monkeypatch.setattr(MatchingEngine, "_connected_poly", starved)
+    engine = MatchingEngine(build_power_graph(build_family(FamilyParams(3, 3))))
+    with pytest.raises(MatchingLimitError, match="^memory exhausted at 48 vertices$"):
+        engine.run()
+    assert engine.memo == {} and engine.products == {}
+
+
 def test_engine_stats():
     eng = MatchingEngine(complete_graph(6))
     poly = eng.run()
     assert poly.hosoya_index == telephone_number(6)
     # K_6 is complete: one subproblem, read from the K_n row
-    assert eng.stats == {"memo_entries": 1, "subproblems": 1}
+    assert eng.stats == {"memo_entries": 1, "subproblems": 1, "product_entries": 0,
+                         "leaf_hits": 0}
 
 
 def test_render():
@@ -314,18 +346,19 @@ def test_matching_engine_matches_brute_force_on_clique_blow_ups(g):
 
 def test_engines_agree_on_power_graphs():
     # every family case of order <= 80; the twin engine takes about 2 s at 80
-    for (k, p), entries in FAMILY_MEMO_ENTRIES.items():
+    for (k, p), (entries, products, leaves) in FAMILY_ENGINE_STATS.items():
         g = build_power_graph(build_family(FamilyParams(k, p)))
         engine = MatchingEngine(g)
         assert engine.run() == TwinEngine(g).run()
-        assert engine.stats == {"memo_entries": entries, "subproblems": entries}
+        assert engine.stats == {"memo_entries": entries, "subproblems": entries,
+                                "product_entries": products, "leaf_hits": leaves}
     rendered = []
     for n, entries in enumerate(CYCLIC_MEMO_ENTRIES, 1):
         g = build_power_graph(build_cyclic(n))
         engine = MatchingEngine(g)
         poly = engine.run()
         assert poly == TwinEngine(g).run()
-        assert engine.stats == {"memo_entries": entries, "subproblems": entries}
+        assert engine.stats["memo_entries"] == engine.stats["subproblems"] == entries
         rendered.append(poly.render() + "\n")
     digest = hashlib.sha256("".join(rendered).encode("utf-8")).hexdigest()
     assert digest == PINNED_CYCLIC_SHA256
@@ -385,3 +418,66 @@ def test_matching_engine_maps_deep_recursion_to_the_limit_error():
             MatchingEngine(path).run()
     finally:
         sys.setrecursionlimit(limit)
+
+
+@st.composite
+def chain_graphs_with_pendant_pairs(draw):
+    """Two cliques X and Y with cross edges that are nested (a Ferrers
+    board, where the chain leaf holds) or drawn at random, up to three K2s
+    each hung by one or both ends at a vertex, as the pairs {y, y^3} hang at
+    u, and up to two universal vertices, relabelled at random; at most 16
+    vertices in all."""
+    x, y = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    n = x + y
+    if draw(st.booleans()):
+        reach = sorted(draw(st.lists(st.integers(0, x), min_size=y, max_size=y)))
+        cross = {(u, x + j) for j, r in enumerate(reach) for u in range(r)}
+    else:
+        cross = draw(st.sets(st.sampled_from([(u, v) for u in range(x) for v in range(x, n)])))
+    edges = _cliques(range(x), range(x, n)) | cross
+    for at, both in draw(st.lists(st.tuples(st.integers(0, n - 1), st.booleans()),
+                                  max_size=3)):
+        edges |= {(n, n + 1), (at, n)} | ({(at, n + 1)} if both else set())
+        n += 2
+    gens = draw(st.integers(0, min(2, 16 - n)))
+    edges |= {(v, w) for w in range(n, n + gens) for v in range(w)}
+    n += gens
+    perm = draw(st.permutations(range(n)))
+    g = Graph.from_edges(n, sorted({tuple(sorted((perm[u], perm[v]))) for u, v in edges}))
+    # keeps brute force (time proportional to the matching count) fast
+    assume(math.prod(g.degree(v) + 1 for v in range(n)) <= 10 ** 12)
+    return g
+
+
+@settings(max_examples=400, deadline=None)
+@given(chain_graphs_with_pendant_pairs())
+def test_chain_leaf_and_pairs_match_brute_force(g):
+    assert MatchingEngine(g).run() == brute_force_matchings(g)
+
+
+def _complement(n, edges):
+    return Graph.from_edges(n, sorted(_cliques(range(n)) - set(edges)))
+
+
+@pytest.mark.parametrize("g", [
+    Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),  # C4: complement 2K2
+    Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)]),  # C5: complement C5
+    # the house and the prism: complements P5 and C6, bipartite but not nested
+    _complement(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+    _complement(6, [(i, (i + 1) % 6) for i in range(6)]),
+], ids=["C4", "C5", "house", "prism"])
+def test_chain_leaf_rejects_and_the_pivot_counts(g):
+    engine = MatchingEngine(g)
+    assert engine._chain_leaf((1 << g.n) - 1) is None
+    assert engine.run() == brute_force_matchings(g)
+
+
+@pytest.mark.parametrize("g", [
+    Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]),  # P4: complement P4
+    _complement(6, [(0, 3), (0, 4), (0, 5), (1, 4), (1, 5), (2, 5)]),  # a staircase board
+], ids=["P4", "staircase"])
+def test_chain_leaf_accepts_a_ferrers_board(g):
+    engine = MatchingEngine(g)
+    assert list(engine._chain_leaf((1 << g.n) - 1)) == list(brute_force_matchings(g).coeffs)
+    assert engine.run() == brute_force_matchings(g)
+    assert engine.stats["leaf_hits"] == 1

@@ -13,10 +13,10 @@ from powg.cli import main
 from powg.formulas import FAMILY_TAGS, M5_ORDER_2_NOTE, MODES, FamilyTable, paper_hosoya_index
 from powg.report import JSON_SAFE_INT, jsonable, render_report, strip_timings, verify_cases
 
-# sha256 of the timing-stripped report below, recorded when the
-# order-arithmetic count replaced the twin-class engine as the cross-check of
-# the decomposition engine, which changed engine_stats
-PINNED_REPORT_SHA256 = "c945f6ff242cb8f310eeef0670cba9a6df389b9712f37edae29e4c1a8b99dee4"
+# sha256 of the timing-stripped report below, recorded when the engine
+# gained the chain leaf, the batched pairs and the product memo, which
+# changed engine_stats
+PINNED_REPORT_SHA256 = "453fa4ad44ef5943dd181a39a47f7e7a301d34d363d8143d35b87352c908774d"
 # the same report without engine_stats, recorded before the engine_stats changes: every
 # oracle value, paper value and diff row is unchanged
 PINNED_NO_ENGINE_STATS_SHA256 = \
@@ -34,12 +34,13 @@ def test_pinned_report_digest():
         PINNED_NO_ENGINE_STATS_SHA256
 
 
-# sha256 of timing-stripped verify reports, recorded before _diff_rows stopped
-# pre-ordering the rs_hosoya rows by exponent; at the default cut-off the
-# index runs at orders 24, 40 and 48 and is skipped at 80.  CI checks
-# VERIFY_LADDER_SHA256 with verify_report_digest.
-VERIFY_DEFAULT_SHA256 = "646188ef6da0a08300333628df40c06b15cefba1aa22e2227325387d7768a171"
-VERIFY_LADDER_SHA256 = "844d0adef6be85fe1de875200fc93bc4c2168ff4791358749650e83439b5e6dc"
+# sha256 of timing-stripped verify reports, recorded when the engine gained
+# the chain leaf, the batched pairs and the product memo; without
+# engine_stats each equals the report of the engine before them.  At the
+# default cut-off the index runs at every order, 24, 40, 48 and 80 here.
+# CI checks VERIFY_LADDER_SHA256 with verify_report_digest.
+VERIFY_DEFAULT_SHA256 = "224517d3ab8d1ff5c249256c1749963cb2e775bdeb943a52ad6d02b4075a5572"
+VERIFY_LADDER_SHA256 = "6e96306e21fcf01321d05d3bedaff369ce4e69a93e02abbd24cf3108fd7cf127"
 
 
 def verify_report_digest(argv) -> str:
