@@ -293,6 +293,16 @@ def test_main_returns_codes_in_process(tmp_path):
     assert main(["verify", "--k", "1", "--p", "3", "--no-cache"]) == 2
 
 
+def test_verify_above_max_order_is_invalid_input(tmp_path, capsys):
+    # the default index cut-off is MAX_ORDER itself; one order past it is
+    # rejected before any work, as before
+    out = tmp_path / "r.json"
+    assert main(["verify", "--k", "7", "--p", "5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("powg: invalid input: group order 2^(k+1)*p = 1280 "
+                                       "exceeds the supported exact-table size (1024)\n")
+    assert not out.exists()
+
+
 def test_bigint_serialization():
     assert jsonable({"z": 2**60, "small": 7}) == {"z": str(2**60), "small": 7}
     assert jsonable([True, 2**54]) == [True, str(2**54)]
