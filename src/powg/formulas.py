@@ -102,19 +102,39 @@ def paper_rs_hosoya(k: int, p: int, mode: str = "printed") -> RationalExponentPo
     return RationalExponentPolynomial.from_scaled(1, terms)  # integer exponents
 
 
+# the least quarter q at which _family_table takes its binomial products from
+# the recurrence kernel; below it the Pascal chains and the convolution, whose
+# inner loops run in C, are faster.  Summed over both modes the paths break
+# even at q = 24, printed mode alone at q = 29 (times in BENCH_pr29.json)
+RECURRENCE_MIN_QUARTER = 28
+
+
 def _family_table(params: FamilyParams, mode: str) -> dict[str, tuple[range, list[int]]]:
     """The stated order range and the counts M_family^i over it of every
     family, exactly as displayed, in the order M1..M15; q is the quarter.
 
     T(m) is the tabled K_m row and B(l) the row of C(l, j), both with index
     0 set to 0, so each nested sum over j of T(m, j) C(l, i - j) with j >= 1
-    and i - j >= 1 is coefficient i of their product.  The five products
-    with a whole binomial row come from one Pascal chain per T row: m6 from
-    T(n), m11_n and m12 from T(n-1), m11_q and m11_p from T(n-2).  Only m15,
-    whose row is cut off at q, is a convolution.  Each count list sums
-    slices of these rows, each scaled by one map(c.__mul__) and added by one
-    map(operator.add); a trailing 0 is an order past the end of a row (K_m
-    has at most m // 2 edges).
+    and i - j >= 1 is coefficient i of their product: m6 over T(n) and
+    B(q), m11_n and m12 over T(n-1) and B(q-1), B(q), m11_q and m11_p over
+    T(n-2) and B(q-2), B(q-1), and m15 over T(n-2) and B(n-1) cut off at
+    q.  Each count list sums slices of these rows, each scaled by one
+    map(c.__mul__) and added by one map(operator.add); a trailing 0 is an
+    order past the end of a row (K_m has at most m // 2 edges).
+
+    The products take one of two exact paths, chosen by q.  Below
+    RECURRENCE_MIN_QUARTER, one Pascal chain per T row multiplies by
+    (1 + x) once per power (q whole-row passes), and m15 is a convolution:
+    O(q n) big-int operations, each pass in C.  From it on, m6, m11_n,
+    m11_q and m15 are read off coefficient recurrences (_zeroed_product),
+    O(n) big-int operations in a Python loop: the full K_m row t solves
+        corrected: 4x^2 t'' - ((4m-6)x + 2) t' + m(m-1) t = 0,
+        printed:   4x^3 t''' + (14-4m) x^2 t'' + ((m-2)(m-3)x - 2) t' + m(m-1) = 0,
+    and the cut row b = sum_(j<cut) C(N, j) x^j solves
+        (1 + x) b' = N b - c x^(cut-1),  c = (N - cut + 1) C(N, cut - 1),
+    and a product of D-finite series is D-finite (Stanley, "Differentiably
+    finite power series", 1980).  m12 and m11_p then take one (1 + x)
+    step each: T B(l+1) = (1 + x) T B(l) + x T.
     """
     n, half, q = params.n_r, params.half, params.quarter
     t_n, t_n1, t_n2 = ([0, *_k_n_row(m, mode)[1:]] for m in (n, n - 1, n - 2))
@@ -129,11 +149,18 @@ def _family_table(params: FamilyParams, mode: str) -> dict[str, tuple[range, lis
             total = map(operator.add, total, map(c.__mul__, row))
         return list(total)
 
-    (m6,) = _pascal_chain(t_n, q)
-    m11_n, m12 = _pascal_chain(t_n1, q - 1, q)
-    m11_q, m11_p = _pascal_chain(t_n2, q - 2, q - 1)
-    # printed as C(2^k p - 1, m) but cut off beyond q - 1
-    m15 = _convolve(t_n2, [0, *comb(n - 1, 1, q)])
+    if q >= RECURRENCE_MIN_QUARTER:
+        m6 = _zeroed_product(n, mode, q, q + 1)
+        m11_n = _zeroed_product(n - 1, mode, q - 1, q)
+        m11_q = _zeroed_product(n - 2, mode, q - 2, q - 1)
+        m15 = _zeroed_product(n - 2, mode, n - 1, q)
+        m12, m11_p = _one_power_up(m11_n, t_n1), _one_power_up(m11_q, t_n2)
+    else:
+        (m6,) = _pascal_chain(t_n, q)
+        m11_n, m12 = _pascal_chain(t_n1, q - 1, q)
+        m11_q, m11_p = _pascal_chain(t_n2, q - 2, q - 1)
+        # printed as C(2^k p - 1, m) but cut off beyond q - 1
+        m15 = _convolve(t_n2, [0, *comb(n - 1, 1, q)])
     m4 = comb(q, 1, q + 1)
     pairs = half * (half - 1) // 2
     return {
@@ -176,6 +203,90 @@ def _pascal_chain(t_row: list[int], *powers: int) -> list[list[int]]:
         done = power
         rows.append(list(map(operator.sub, row, t_row)) + row[len(t_row):])
     return rows
+
+
+def _cut_binomial_product(m: int, mode: str, n: int, cut: int) -> list[int]:
+    """u = t b, where t is the mode's full K_m row (t_0 = 1) and b the cut
+    binomial row sum_(j<cut) C(n, j) x^j (cut >= 1), read off the coefficient
+    recurrences that the differential equations of t and b (see
+    _family_table) give for u, y = t' b and, in printed mode, z = t'' b.
+    With c = (n - cut + 1) C(n, cut - 1), t_j = 0 off the row and
+    y_(-1) = z_(-1) = z_(-2) = 0, from u_0 = 1 and y_0 = t_1:
+        u_(k+1) = ((n-k) u_k + y_k + y_(k-1) - c t_(k+1-cut)) / (k+1);
+      corrected:
+        y_(k+1) = ((4k+4-4m) y_k + (4k+2-4m-4n) y_(k-1) + m(m-1)(u_(k+1) + u_k)
+                   + 4c (k+1-cut) t_(k+1-cut)) / 2;
+      printed:
+        y_(k+1) = ((4k+10-4m) z_(k-1) + (4k+6-4m-4n) z_(k-2)
+                   + (m-2)(m-3)(y_k + y_(k-1)) - 2 y_k + m(m-1)(b_(k+1) + b_k)
+                   + 4c (k+1-cut)(k-cut) t_(k+1-cut)) / 2,
+        z_k = (k+1) y_(k+1) + (k-n) y_k - z_(k-1) + c (k+2-cut) t_(k+2-cut).
+    Every division is checked exact; a remainder raises ValueError.
+    """
+    t = _k_n_row(m, mode)
+    width = min(cut, n + 1)  # of b
+    size = len(t) + width - 1
+    c = (n - cut + 1) * math.comb(n, cut - 1)  # 0 when cut > n
+    ct = [0] * (size + 2)  # ct[k + 1] = c t_(k+1-cut)
+    if c:
+        ct[cut:cut + len(t)] = [c * tj for tj in t]
+    u = [1] * size
+    uk, y0, y1 = 1, 0, t[1] if len(t) > 1 else 0  # u_k, y_(k-1), y_k
+    mm = m * (m - 1)
+    if mode == "corrected":
+        for k in range(size - 1):
+            un, r = divmod((n - k) * uk + y1 + y0 - ct[k + 1], k + 1)
+            if r:
+                raise _inexact(m, mode, n, cut)
+            yn, r = divmod((4 * k + 4 - 4 * m) * y1 + (4 * k + 2 - 4 * m - 4 * n) * y0
+                           + mm * (un + uk) + 4 * (k + 1 - cut) * ct[k + 1], 2)
+            if r:
+                raise _inexact(m, mode, n, cut)
+            u[k + 1] = uk = un
+            y0, y1 = y1, yn
+        return u
+    b = [0] * (size + 1)
+    b[:width] = [math.comb(n, j) for j in range(width)]
+    m23 = (m - 2) * (m - 3)
+    z1 = z2 = 0  # z_(k-1), z_(k-2)
+    for k in range(size - 1):
+        s = y1 + y0
+        yn, r = divmod((4 * k + 10 - 4 * m) * z1 + (4 * k + 6 - 4 * m - 4 * n) * z2
+                       + m23 * s - 2 * y1 + mm * (b[k + 1] + b[k])
+                       + 4 * (k + 1 - cut) * (k - cut) * ct[k + 1], 2)
+        if r:
+            raise _inexact(m, mode, n, cut)
+        z2, z1 = z1, (k + 1) * yn + (k - n) * y1 - z1 + (k + 2 - cut) * ct[k + 2]
+        un, r = divmod((n - k) * uk + s - ct[k + 1], k + 1)
+        if r:
+            raise _inexact(m, mode, n, cut)
+        u[k + 1] = uk = un
+        y0, y1 = y1, yn
+    return u
+
+
+def _inexact(m: int, mode: str, n: int, cut: int) -> ValueError:
+    return ValueError(f"non-integral division in the {mode} recurrence for "
+                      f"K_{m} times C({n}, j < {cut})")
+
+
+def _zeroed_product(m: int, mode: str, n: int, cut: int) -> list[int]:
+    """conv(T, B) for the K_m row T and the cut binomial row B, both with
+    index 0 set to 0: u - t - b + 1 in the terms of _cut_binomial_product."""
+    u = _cut_binomial_product(m, mode, n, cut)
+    t = _k_n_row(m, mode)
+    u[:len(t)] = map(operator.sub, u, t)
+    width = min(cut, n + 1)
+    u[:width] = [uj - math.comb(n, j) for j, uj in enumerate(u[:width])]
+    u[0] += 1
+    return u
+
+
+def _one_power_up(row: list[int], t_row: list[int]) -> list[int]:
+    """conv(T, B(l + 1)) = (1 + x) conv(T, B(l)) + x T from row = conv(T, B(l))."""
+    out = list(map(operator.add, [0, *row], [*row, 0]))
+    out[1:len(t_row) + 1] = map(operator.add, out[1:], t_row)
+    return out
 
 
 M5_ORDER_2_NOTE = \

@@ -425,10 +425,10 @@ def load_cayley_table(text: str) -> FiniteGroup:
     Format: line 1 is the order n; lines 2..n+1 hold n whitespace-separated
     0-based indices each (row g, column h gives g·h); index 0 must be the
     identity.  Optional trailing lines "label <index> <string>" attach
-    display labels.  Lines end at LF, with or without a CR before it; no
-    other character ends a line, so a label may hold any other character.
-    Blank lines are skipped, and every "line N:" in an error message counts
-    them, so N is the line's number in the file.
+    display labels, at most one per index.  Lines end at LF, with or
+    without a CR before it; no other character ends a line, so a label may
+    hold any other character.  Blank lines are skipped, and every "line N:"
+    in an error message counts them, so N is the line's number in the file.
 
     Each row is one split and one operator.itemgetter call on a str -> index
     dictionary, whose lookups also prove 0 <= v < n; only a row with a key
@@ -467,6 +467,7 @@ def load_cayley_table(text: str) -> FiniteGroup:
             table.append(_parse_row(parts, n, line_no))
 
     labels = [str(i) for i in range(n)]
+    labelled: dict[int, int] = {}  # index -> line number of its label
     for line_no, ln in lines[n + 1:]:
         parts = ln.split(maxsplit=2)
         if parts[0] != "label" or len(parts) != 3:
@@ -477,6 +478,10 @@ def load_cayley_table(text: str) -> FiniteGroup:
             raise GroupError(f"line {line_no}: bad label index {parts[1]!r}") from None
         if not 0 <= idx < n:
             raise GroupError(f"line {line_no}: label index {idx} out of range")
+        if idx in labelled:
+            raise GroupError(
+                f"line {line_no}: index {idx} already labelled on line {labelled[idx]}")
+        labelled[idx] = line_no
         labels[idx] = parts[2]
 
     table = tuple(table)

@@ -367,6 +367,14 @@ def test_cayley_file_does_not_split_a_row_at_a_lone_carriage_return(tmp_path, ca
     assert capsys.readouterr() == ("", "powg: invalid input: expected 2 table rows, found 1\n")
 
 
+def test_cayley_file_labelling_one_index_twice_exits_2(tmp_path, capsys):
+    path = tmp_path / "labels.txt"
+    path.write_text("2\n0 1\n1 0\nlabel 1 x\n\nlabel 1 y\n", encoding="utf-8")
+    assert main(["group", "--cayley", str(path), "info"]) == 2
+    assert capsys.readouterr() == \
+        ("", "powg: invalid input: line 6: index 1 already labelled on line 4\n")
+
+
 # Runs commands through main in a python -S interpreter, then names the
 # modules of that list which the import or any command loaded.
 FOOTPRINT_PROBE = """\

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from powg import (
     FamilyParams,
@@ -19,14 +19,18 @@ from powg import (
     paper_hosoya_index,
     paper_rs_hosoya,
 )
+import powg.formulas
 from powg.formulas import (
     FAMILY_TAGS,
     M5_ORDER_2_NOTE,
     MODES,
     FamilyTable,
     _chain_matchings,
+    _cut_binomial_product,
     _family_table,
+    _one_power_up,
     _pascal_chain,
+    _zeroed_product,
     family_matching_polynomial,
 )
 from powg.groups import MAX_ORDER, _is_odd_prime
@@ -334,6 +338,99 @@ def test_pascal_rows_equal_direct_convolutions(k, p):
 def test_pascal_chain_on_random_rows(t_row, powers):
     powers.sort()
     assert _pascal_chain(t_row, *powers) == [binomial_product(t_row, power) for power in powers]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(MODES), st.integers(0, 80), st.integers(0, 60), st.integers(1, 70))
+@example("printed", 0, 5, 3)
+@example("corrected", 1, 5, 3)
+@example("printed", 40, 7, 20)  # cut > n: the whole row (1 + x)^n
+@example("corrected", 40, 7, 8)  # cut = n + 1, where c = 0 too
+@example("printed", 41, 60, 1)  # b = 1
+def test_recurrence_kernel_equals_the_convolution(mode, m, n, cut):
+    expected = _convolve(list(_k_n_row(m, mode)),
+                         [math.comb(n, j) for j in range(min(cut, n + 1))])
+    assert _cut_binomial_product(m, mode, n, cut) == expected
+
+
+def _derivative(poly):
+    return [j * c for j, c in enumerate(poly)][1:]
+
+
+def _combine(*terms):
+    """The sum of c x^s poly over the (c, s, poly) terms."""
+    total = [0] * max(s + len(poly) for _, s, poly in terms)
+    for c, s, poly in terms:
+        for j, a in enumerate(poly):
+            total[s + j] += c * a
+    return total
+
+
+def test_k_n_rows_solve_their_differential_equations():
+    # the premise of the recurrence kernel, checked coefficient by coefficient
+    for m in range(151):
+        t = list(_k_n_row(m, "corrected"))
+        t1 = _derivative(t)
+        t2 = _derivative(t1)
+        # 4x^2 t'' - ((4m - 6)x + 2) t' + m(m - 1) t = 0
+        assert not any(_combine((4, 2, t2), (6 - 4 * m, 1, t1), (-2, 0, t1),
+                                (m * (m - 1), 0, t))), m
+        t = list(_k_n_row(m, "printed"))
+        t1 = _derivative(t)
+        t2 = _derivative(t1)
+        t3 = _derivative(t2)
+        # 4x^3 t''' + (14 - 4m) x^2 t'' + ((m - 2)(m - 3)x - 2) t' + m(m - 1) = 0
+        assert not any(_combine((4, 3, t3), (14 - 4 * m, 2, t2), ((m - 2) * (m - 3), 1, t1),
+                                (-2, 0, t1), (m * (m - 1), 0, [1]))), m
+
+
+def kernel_product_mismatches(cases) -> list[tuple[int, int, str, str]]:
+    """The (k, p, mode, product) where a product of _zeroed_product differs
+    from the Pascal chain or the convolution that _family_table takes below
+    RECURRENCE_MIN_QUARTER; called directly, so every q is checked."""
+    bad = []
+    for k, p in cases:
+        params = FamilyParams(k, p)
+        n, q = params.n_r, params.quarter
+        for mode in MODES:
+            t_n, t_n1, t_n2 = ([0, *_k_n_row(m, mode)[1:]] for m in (n, n - 1, n - 2))
+            cut_row = [0] + [math.comb(n - 1, j) for j in range(1, q)]
+            pairs = {"m6": (_zeroed_product(n, mode, q, q + 1), _pascal_chain(t_n, q)[0]),
+                     "m11_n": (_zeroed_product(n - 1, mode, q - 1, q),
+                               _pascal_chain(t_n1, q - 1)[0]),
+                     "m11_q": (_zeroed_product(n - 2, mode, q - 2, q - 1),
+                               _pascal_chain(t_n2, q - 2)[0]),
+                     "m15": (_zeroed_product(n - 2, mode, n - 1, q), _convolve(t_n2, cut_row))}
+            bad += [(k, p, mode, name) for name, (got, want) in pairs.items() if got != want]
+    return bad
+
+
+@pytest.mark.parametrize("k,p", LADDER)
+def test_kernel_products_equal_the_pascal_rows(k, p):
+    assert kernel_product_mismatches([(k, p)]) == []
+    params = FamilyParams(k, p)
+    n, q = params.n_r, params.quarter
+    for mode in MODES:
+        for m, power in ((n, q), (n - 1, q - 1), (n - 2, q - 2)):
+            t_row = [0, *_k_n_row(m, mode)[1:]]
+            row = _zeroed_product(m, mode, power, power + 1)
+            assert row == binomial_product(t_row, power)
+            assert _one_power_up(row, t_row) == binomial_product(t_row, power + 1)
+
+
+@pytest.mark.parametrize("q_min", [0, 1 << 30])
+def test_family_table_pinned_on_the_ladder_by_either_path(q_min, monkeypatch):
+    monkeypatch.setattr(powg.formulas, "RECURRENCE_MIN_QUARTER", q_min)
+    assert family_table_digest(LADDER) == LADDER_TABLE_SHA256
+
+
+def test_recurrence_kernel_raises_on_an_inexact_division(monkeypatch):
+    # a row that solves neither differential equation leaves a remainder,
+    # which raises and is never rounded
+    monkeypatch.setattr(powg.formulas, "_k_n_row", lambda m, mode: (1, 1, 1))
+    for mode in MODES:
+        with pytest.raises(ValueError, match=f"non-integral division in the {mode} recurrence"):
+            _cut_binomial_product(5, mode, 3, 4)
 
 
 def engine_count_mismatches(cases) -> list[tuple[int, int]]:

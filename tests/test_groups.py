@@ -334,6 +334,8 @@ LOOP_FAILING_ITS_LONGEST_WALK = [[0, 1, 2, 3, 4, 5], [1, 3, 4, 0, 5, 2], [2, 5, 
     ("1\n1\n", "line 2: entry 1 out of range 0..0"),
     # only LF ends a line: a NEL inside a label does not
     ("1\n0\nlabel 0 a\x85b\nx\n", "line 4: expected 'label <index> <string>'"),
+    # a second label for one index names both lines; it is not applied
+    ("2\n0 1\n1 0\nlabel 1 x\nlabel 1 y\n", "line 5: index 1 already labelled on line 4"),
 ])
 def test_cayley_error_messages_are_pinned(text, message):
     with pytest.raises(GroupError) as exc:
