@@ -1,4 +1,4 @@
-"""Finite groups as explicit multiplication tables.
+"""Finite groups as explicit multiplication tables, or by a product rule.
 
 Elements are indices 0..order-1 with the identity fixed at index 0.
 The built-in two-generator family is
@@ -17,7 +17,7 @@ import operator
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 
-# Explicit n x n tables only; keeps memory at desk scale.
+# Cayley files and Z_n are n x n tables; keeps memory at desk scale.
 MAX_ORDER = 1024
 
 
@@ -83,8 +83,14 @@ class FamilyParams(namedtuple("FamilyParams", "k p")):
         return self.half - 1
 
 
+def _family_product(n: int, m: int, x: int, y: int) -> int:
+    """x·y on indices a + b n of the family with |<r>| = n and twist m."""
+    return (x + y * (m if x >= n else 1)) % n + ((x >= n) ^ (y >= n)) * n
+
+
 class FiniteGroup(namedtuple("FiniteGroup", "order table labels family")):
-    """Immutable finite group given by a total multiplication table.
+    """Immutable finite group given by a total multiplication table, or by
+    the family's rule if table is None.
 
     identity is always element 0; labels are unique display strings.
     """
@@ -92,8 +98,10 @@ class FiniteGroup(namedtuple("FiniteGroup", "order table labels family")):
     __slots__ = ()
     identity = 0
 
-    def __new__(cls, order: int, table: tuple[tuple[int, ...], ...], labels: tuple[str, ...],
-                family: FamilyParams | None = None) -> FiniteGroup:
+    def __new__(cls, order: int, table: tuple[tuple[int, ...], ...] | None,
+                labels: tuple[str, ...], family: FamilyParams | None = None) -> FiniteGroup:
+        if table is None and family is None:
+            raise GroupError("a group without a table needs its family parameters")
         if len(set(labels)) != order:
             raise GroupError("labels are not unique")
         return super().__new__(cls, order, table, labels, family)
@@ -103,10 +111,12 @@ class FiniteGroup(namedtuple("FiniteGroup", "order table labels family")):
         return cls(*iterable)
 
     def mult(self, a: int, b: int) -> int:
+        if self.table is None:
+            return _family_product(self.family.n_r, self.family.twist, a, b)
         return self.table[a][b]
 
     def inverse(self, a: int) -> int:
-        return self.table[a].index(0)
+        return self.power(a, self.order - 1)  # a^|G| = e
 
     def power(self, x: int, t: int) -> int:
         if t < 0:
@@ -114,8 +124,8 @@ class FiniteGroup(namedtuple("FiniteGroup", "order table labels family")):
         acc = 0
         while t:
             if t & 1:
-                acc = self.table[acc][x]
-            x = self.table[x][x]
+                acc = self.mult(acc, x)
+            x = self.mult(x, x)
             t >>= 1
         return acc
 
@@ -168,31 +178,21 @@ class GroupPartition(namedtuple("GroupPartition", "h0 h1 h2 h3 u partner_pairs n
 
 
 def build_family(params: FamilyParams) -> FiniteGroup:
-    """Construct the family group for (k, p).
+    """Construct the family group for (k, p), with no table.
 
     Product rule on pairs: (a1, b1) * (a2, b2) = (a1 + a2 * m^b1 mod 2^k p,
-    b1 xor b2) with m = 2^(k-1) p - 1.  The table is built by whole rows,
-    with no per-entry arithmetic: the row of (a1, 0) is the rotation
-    rot = [a1 .. n-1, 0 .. a1-1] followed by rot + n, and entry (a2, b2) of
-    the row of (a1, 1) is entry (a2 * m mod n, 1 - b2) of the row of (a1, 0),
-    one fixed permutation for every row.  The defining relations are
-    verified after construction.
+    b1 xor b2) with m = 2^(k-1) p - 1 (_family_product).  The defining
+    relations are verified with it after construction.
     """
     n = params.n_r
     m = params.twist
-    order = params.order
-
-    low, high = tuple(range(n)) * 2, tuple(range(n, order)) * 2  # rotations are slices
-    rows = [low[a:a + n] + high[a:a + n] for a in range(n)]
-    twisted = [a * m % n for a in range(n)]
-    swap_twist = operator.itemgetter(*[t + n for t in twisted], *twisted)
-    table = (*rows, *map(swap_twist, rows))
 
     labels = ["e" if a == 0 else ("r" if a == 1 else f"r^{a}") for a in range(n)]
     # (a, 1) is r^a s = s r^(a*m mod n)
-    labels += ["s" if j == 0 else ("s·r" if j == 1 else f"s·r^{j}") for j in twisted]
+    labels += ["s" if j == 0 else ("s·r" if j == 1 else f"s·r^{j}")
+               for j in (a * m % n for a in range(n))]
 
-    g = FiniteGroup(order, table, tuple(labels), family=params)
+    g = FiniteGroup(params.order, None, tuple(labels), family=params)
 
     # defining relations, checked constructively
     r, s = 1, n
@@ -246,6 +246,8 @@ def cyclic_subgroups(g: FiniteGroup) -> Iterator[tuple[list[int], list[int]]]:
     g must be a group.  GroupError if the powers of some x never reach e.
     """
     table, n = g.table, g.order
+    if table is None:
+        n_r, m = g.family.n_r, g.family.twist
     walked = bytearray(n)  # 1 once x is a generator of a yielded subgroup
     for x in range(n):
         if walked[x]:
@@ -255,7 +257,7 @@ def cyclic_subgroups(g: FiniteGroup) -> Iterator[tuple[list[int], list[int]]]:
             powers.append(y)
             if y == 0:
                 break
-            y = table[y][x]
+            y = table[y][x] if table else _family_product(n_r, m, y, x)
         else:
             raise GroupError(f"powers of element {x} never reach the identity")
         o = len(powers)

@@ -1,5 +1,6 @@
 import os
 import random
+from itertools import repeat
 from pathlib import Path
 
 import powg
@@ -20,6 +21,13 @@ def random_graph(rng: random.Random, n: int, density: float = 0.4) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def explicit_rows(g: FiniteGroup) -> list[list[int]]:
+    """The multiplication table of g, row a holding a·b, read from g.mult, so
+    that a family group, which has no table, gets one too."""
+    n = g.order
+    return [list(map(g.mult, repeat(a, n), range(n))) for a in range(n)]
+
+
 def relabelled(g: FiniteGroup, seed: int) -> FiniteGroup:
     """Copy of g under a seeded random permutation of its indices fixing 0."""
     n = g.order
@@ -27,7 +35,7 @@ def relabelled(g: FiniteGroup, seed: int) -> FiniteGroup:
     random.Random(seed).shuffle(rest)
     perm = [0] + rest
     rows = [[0] * n for _ in range(n)]
-    for a, row in enumerate(g.table):
+    for a, row in enumerate(explicit_rows(g)):
         for b, ab in enumerate(row):
             rows[perm[a]][perm[b]] = perm[ab]
     return table_group(rows)
@@ -55,7 +63,7 @@ def rows_text(rows) -> str:
 
 
 def cayley_text(g: FiniteGroup) -> str:
-    return rows_text(g.table)
+    return rows_text(explicit_rows(g))
 
 
 def ingest_tables() -> list[FiniteGroup]:

@@ -148,6 +148,33 @@ def test_paper_eval_index_pinned_on_the_ladder():
     assert paper_index_digest(ladder) == PAPER_INDEX_LADDER_SHA256
 
 
+def family_command_digest(cases) -> str:
+    """sha256 of the concatenated stdout of every `--family` command that
+    prints a group or its power graph (group info, graph in both formats,
+    and the hosoya, rs-hosoya and wiener invariants), run in process for
+    every case."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        for k, p in cases:
+            family = ["--family", "sdl", "--k", str(k), "--p", str(p)]
+            argvs = [["group", *family, "info"]]
+            argvs += [["graph", *family, "--format", fmt] for fmt in ("edges", "dot")]
+            argvs += [["invariant", which, *family] for which in ("hosoya", "rs-hosoya", "wiener")]
+            for argv in argvs:
+                assert main(argv) == 0, argv
+    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
+# recorded while the family group was an explicit Cayley table, before its
+# power graph was walked on the product rule
+FAMILY_COMMANDS_LADDER_SHA256 = "710f6a479db75785d83be7d35edca6dc203a3d10c911d3eacb87dfc35dfac921"
+
+
+def test_family_commands_pinned_on_the_ladder():
+    ladder = [(k, p) for k in range(2, 7) for p in (3, 5, 7)]
+    assert family_command_digest(ladder) == FAMILY_COMMANDS_LADDER_SHA256
+
+
 def verify_doc(tmp_path, name, extra=(), env_dir=None):
     out = tmp_path / name
     env = None

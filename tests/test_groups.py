@@ -7,14 +7,17 @@ from powg import (
     GroupError,
     build_cyclic,
     build_family,
+    build_power_graph,
     cyclic_subgroup,
     cyclic_subgroups,
     element_order,
     load_cayley_table,
     partition,
 )
+from powg import groups as groups_mod
 from powg.groups import MAX_ORDER, _generators, _light_passes, _walk_starts
-from conftest import cayley_text, oracle_groups, relabelled, rows_text
+from conftest import cayley_text, explicit_rows, oracle_groups, relabelled, rows_text, \
+    table_group
 from oracles import reference_validate
 
 # a magma with identity 0 in which 1 * 1 = 1, so no power of 1 is e
@@ -65,8 +68,78 @@ def family_table_by_definition(params):
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_family_table_matches_definition(k, p):
+    # the family has no table; its rule gives every entry of the definition
     params = FamilyParams(k, p)
-    assert build_family(params).table == family_table_by_definition(params)
+    g = build_family(params)
+    assert g.table is None
+    assert tuple(map(tuple, explicit_rows(g))) == family_table_by_definition(params)
+
+
+def power_graph_mismatches(cases) -> list[tuple[int, int]]:
+    """The (k, p) at which the power graph walked on the family's product
+    rule differs from the one walked on the table of family_table_by_definition
+    (labels included)."""
+    bad = []
+    for k, p in cases:
+        params = FamilyParams(k, p)
+        g = build_family(params)
+        by_table = FiniteGroup(g.order, family_table_by_definition(params), g.labels)
+        if build_power_graph(g) != build_power_graph(by_table):
+            bad.append((k, p))
+    return bad
+
+
+def test_power_graph_by_rule_equals_the_table_walk_on_the_ladder():
+    ladder = [(k, p) for k in range(2, 7) for p in (3, 5, 7)]
+    assert power_graph_mismatches(ladder) == []
+
+
+def test_a_group_needs_a_table_or_a_family():
+    g, params = build_cyclic(24), FamilyParams(2, 3)
+    message = "a group without a table needs its family parameters"
+    for build in (lambda: FiniteGroup(24, None, g.labels),
+                  lambda: g._replace(table=None),
+                  lambda: FiniteGroup._make([24, None, g.labels, None]),
+                  lambda: build_family(params)._replace(family=None)):
+        with pytest.raises(GroupError, match=message):
+            build()
+
+
+def test_relations_reject_a_twist_that_is_no_involution(monkeypatch):
+    # 3 is a unit mod 20, so the labels stay distinct, and the rule itself
+    # reads the twist, so r^N = s^2 = e and s r s^-1 = r^3 hold
+    monkeypatch.setattr(FamilyParams, "twist", property(lambda self: 3))
+    with pytest.raises(GroupError, match=r"^twist exponent is not an involution mod 2\^k p$"):
+        build_family(FamilyParams(2, 5))
+
+
+@pytest.mark.parametrize("rule,message", [
+    # b1 or b2 in place of b1 xor b2: s·s = s
+    (lambda n, m, x, y: (x + y * (m if x >= n else 1)) % n + ((x >= n) | (y >= n)) * n,
+     r"^family construction violates r\^\(2\^k p\) = s\^2 = e$"),
+    # m^b1 dropped: the rule of Z_n x Z_2, in which s r s^-1 = r
+    (lambda n, m, x, y: (x + y) % n + ((x >= n) ^ (y >= n)) * n,
+     r"^family construction violates s r s\^-1 = r\^m$"),
+])
+def test_relations_reject_a_broken_rule(rule, message, monkeypatch):
+    # r^N, s^2 and s r s^-1 involve the twist only through the rule, so
+    # these two checks are reached by breaking the rule itself
+    monkeypatch.setattr(groups_mod, "_family_product", rule)
+    with pytest.raises(GroupError, match=message):
+        build_family(FamilyParams(2, 5))
+
+
+def test_rule_walk_steps_right_multiplication_as_the_table_walk_does(monkeypatch):
+    # with twist 3 at (2, 5) the rule is no group: x·y and y·x differ for some
+    # power y of x, yet every right-power walk still reaches e, and the walk on
+    # the rule must take the same steps y -> y·x as the walk on its table
+    monkeypatch.setattr(FamilyParams, "twist", property(lambda self: 3))
+    params = FamilyParams(2, 5)
+    labels = tuple(map(str, range(params.order)))
+    g = FiniteGroup(params.order, None, labels, params)
+    x = params.n_r + 1
+    assert g.mult(x, g.mult(x, x)) != g.mult(g.mult(x, x), x)
+    assert list(cyclic_subgroups(g)) == list(cyclic_subgroups(table_group(explicit_rows(g))))
 
 
 def test_family_sr_squares_to_u():
@@ -215,9 +288,8 @@ def test_cayley_label_keeps_other_line_breaks():
 
 
 def test_cayley_roundtrip_family():
-    g0 = family(2, 3)
-    g = load_cayley_table(cayley_text(g0))
-    assert g.table == g0.table
+    g = load_cayley_table(cayley_text(family(2, 3)))
+    assert g.table == family_table_by_definition(FamilyParams(2, 3))
 
 
 def test_cayley_rejects_non_associative():
@@ -273,7 +345,7 @@ def corrupted_tables(draw):
     n = g.order
     perm = [0] + draw(st.permutations(range(1, n)))
     rows = [[0] * n for _ in range(n)]
-    for a, row in enumerate(g.table):
+    for a, row in enumerate(explicit_rows(g)):
         out = rows[perm[a]]
         for b, ab in enumerate(row):
             out[perm[b]] = perm[ab]
