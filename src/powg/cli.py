@@ -67,6 +67,8 @@ def _resolve_group(args) -> FiniteGroup:
         if args.k is None or args.p is None:
             raise UsageError("--family requires --k and --p")
         return build_family(FamilyParams(args.k, args.p))
+    if args.k is not None or args.p is not None:
+        raise UsageError("--k and --p require --family")
     if args.cyclic is not None:
         return build_cyclic(args.cyclic)
     try:
@@ -159,8 +161,8 @@ def _cmd_group(args) -> int:
     for powers, generators in cyclic_subgroups(g):
         hist[len(powers)] = hist.get(len(powers), 0) + len(generators)
     print("element orders: " + " ".join(f"{t}:{c}" for t, c in sorted(hist.items())))
-    if g.family is not None:
-        part = partition(g, g.family)
+    if args.family is not None:
+        part = partition(g, FamilyParams(args.k, args.p))
         s0, s1, s2, s3 = part.sizes()
         print(f"partition sizes: H0={s0} H1={s1} H2={s2} H3={s3}")
     return EXIT_OK

@@ -1,4 +1,4 @@
-"""Finite groups as explicit multiplication tables, or by a product rule.
+"""Finite groups on one product rule, or as explicit multiplication tables.
 
 Elements are indices 0..order-1 with the identity fixed at index 0.
 The built-in two-generator family is
@@ -6,8 +6,8 @@ The built-in two-generator family is
     <r, s | r^(2^k p) = s^2 = e,  s r s^-1 = r^(2^(k-1) p - 1)>
 
 of order 2^(k+1) p for k >= 2 and p an odd prime, realized on pairs
-(a, b) with a in Z_(2^k p), b in {0, 1}, encoded as index a + b * 2^k p.
-With that encoding <r> occupies the contiguous index prefix 0..2^k p - 1.
+(a, b) with a in Z_(2^k p), b in {0, 1}, encoded as index a + b * 2^k p,
+so <r> is the index prefix 0..2^k p - 1.  Z_N is the same rule at (N, 1).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import operator
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 
-# Cayley files and Z_n are n x n tables; keeps memory at desk scale.
+# Only Cayley files are n x n tables; built-in groups keep the cap until it is split.
 MAX_ORDER = 1024
 
 
@@ -84,13 +84,13 @@ class FamilyParams(namedtuple("FamilyParams", "k p")):
 
 
 def _family_product(n: int, m: int, x: int, y: int) -> int:
-    """x·y on indices a + b n of the family with |<r>| = n and twist m."""
+    """x·y on indices a + b n of the group with |<r>| = n and twist m."""
     return (x + y * (m if x >= n else 1)) % n + ((x >= n) ^ (y >= n)) * n
 
 
-class FiniteGroup(namedtuple("FiniteGroup", "order table labels family")):
-    """Immutable finite group given by a total multiplication table, or by
-    the family's rule if table is None.
+class FiniteGroup(namedtuple("FiniteGroup", "order table labels rule")):
+    """Immutable finite group given by a total multiplication table, or, if
+    table is None, by the rule (n, m) of _family_product, of order n or 2n.
 
     identity is always element 0; labels are unique display strings.
     """
@@ -99,12 +99,17 @@ class FiniteGroup(namedtuple("FiniteGroup", "order table labels family")):
     identity = 0
 
     def __new__(cls, order: int, table: tuple[tuple[int, ...], ...] | None,
-                labels: tuple[str, ...], family: FamilyParams | None = None) -> FiniteGroup:
-        if table is None and family is None:
-            raise GroupError("a group without a table needs its family parameters")
+                labels: tuple[str, ...], rule: tuple[int, int] | None = None) -> FiniteGroup:
+        if table is None:
+            if rule is None:
+                raise GroupError("a group without a table needs its product rule")
+            if order not in (rule[0], 2 * rule[0]):
+                raise GroupError(f"order {order} is neither n nor 2n for the rule {rule}")
+        elif len(table) != order:
+            raise GroupError(f"order {order} but the table has {len(table)} rows")
         if len(set(labels)) != order:
             raise GroupError("labels are not unique")
-        return super().__new__(cls, order, table, labels, family)
+        return super().__new__(cls, order, table, labels, rule)
 
     @classmethod
     def _make(cls, iterable) -> FiniteGroup:  # so _replace validates too
@@ -112,7 +117,7 @@ class FiniteGroup(namedtuple("FiniteGroup", "order table labels family")):
 
     def mult(self, a: int, b: int) -> int:
         if self.table is None:
-            return _family_product(self.family.n_r, self.family.twist, a, b)
+            return _family_product(*self.rule, a, b)
         return self.table[a][b]
 
     def inverse(self, a: int) -> int:
@@ -192,7 +197,7 @@ def build_family(params: FamilyParams) -> FiniteGroup:
     labels += ["s" if j == 0 else ("s·r" if j == 1 else f"s·r^{j}")
                for j in (a * m % n for a in range(n))]
 
-    g = FiniteGroup(params.order, None, tuple(labels), family=params)
+    g = FiniteGroup(params.order, None, tuple(labels), (n, m))
 
     # defining relations, checked constructively
     r, s = 1, n
@@ -206,13 +211,12 @@ def build_family(params: FamilyParams) -> FiniteGroup:
 
 
 def build_cyclic(n: int) -> FiniteGroup:
-    """Z_n under addition, identity 0, labels the residues in decimal."""
+    """Z_n on the rule (n, 1): no index reaches the twist, so a·b = a + b mod n."""
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"cyclic order must be a positive integer, got {n!r}")
     if n > MAX_ORDER:
         raise ValueError(f"order {n} exceeds the supported exact-table size ({MAX_ORDER})")
-    table = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
-    return FiniteGroup(n, table, tuple(str(a) for a in range(n)))
+    return FiniteGroup(n, None, tuple(map(str, range(n))), (n, 1))
 
 
 def element_order(g: FiniteGroup, x: int) -> int:
@@ -247,7 +251,7 @@ def cyclic_subgroups(g: FiniteGroup) -> Iterator[tuple[list[int], list[int]]]:
     """
     table, n = g.table, g.order
     if table is None:
-        n_r, m = g.family.n_r, g.family.twist
+        n_r, m = g.rule
     walked = bytearray(n)  # 1 once x is a generator of a yielded subgroup
     for x in range(n):
         if walked[x]:
@@ -273,7 +277,7 @@ def partition(g: FiniteGroup, params: FamilyParams) -> GroupPartition:
     The even-exponent reflection set is taken at set level (2^(k-1) p
     distinct elements, exponents reduced mod 2^k p), so it contains s.
     """
-    if g.family != params:
+    if g.rule != (params.n_r, params.twist) or g.order != params.order:
         raise ValueError("group was not built by build_family with these parameters")
     n = params.n_r
     m = params.twist

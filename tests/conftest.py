@@ -23,7 +23,9 @@ def random_graph(rng: random.Random, n: int, density: float = 0.4) -> Graph:
 
 def explicit_rows(g: FiniteGroup) -> list[list[int]]:
     """The multiplication table of g, row a holding a·b, read from g.mult, so
-    that a family group, which has no table, gets one too."""
+    that a built-in group (Z_n or the family), which has no table, gets one
+    too.  A test that needs Z_n's table by definition takes it from
+    test_groups.cyclic_table_by_definition instead."""
     n = g.order
     return [list(map(g.mult, repeat(a, n), range(n))) for a in range(n)]
 
@@ -35,7 +37,7 @@ def relabelled(g: FiniteGroup, seed: int) -> FiniteGroup:
     random.Random(seed).shuffle(rest)
     perm = [0] + rest
     rows = [[0] * n for _ in range(n)]
-    for a, row in enumerate(explicit_rows(g)):
+    for a, row in enumerate(g.table or explicit_rows(g)):
         for b, ab in enumerate(row):
             rows[perm[a]][perm[b]] = perm[ab]
     return table_group(rows)

@@ -49,6 +49,23 @@ def test_usage_errors_exit_1():
     assert run_cli(["bogus"]).returncode == 1
 
 
+def test_k_and_p_without_family_are_usage_errors(tmp_path, capsys):
+    table = tmp_path / "z2.txt"
+    table.write_text("2\n0 1\n1 0\n", encoding="utf-8")
+    for selection in (["--cyclic", "4"], ["--cayley", str(table)]):
+        for extra in (["--k", "2", "--p", "3"], ["--k", "2"], ["--p", "3"]):
+            for argv in (["group", *selection, *extra, "info"],
+                         ["graph", *selection, *extra, "--format", "edges"],
+                         ["invariant", "wiener", *selection, *extra]):
+                assert main(argv) == 1, argv
+                captured = capsys.readouterr()
+                assert captured.out == "", argv
+                assert captured.err == "powg: error: --k and --p require --family\n", argv
+    # paper and verify take their own --k and --p
+    assert main(["paper", "eval", "--k", "2", "--p", "3", "--which", "hosoya"]) == 0
+    assert capsys.readouterr().out == "dis0=24\ndis1=87\ndis2=189\n"
+
+
 def test_invariant_hosoya():
     res = run_cli(["invariant", "hosoya", "--cyclic", "6"])
     assert res.returncode == 0
@@ -173,6 +190,36 @@ FAMILY_COMMANDS_LADDER_SHA256 = "710f6a479db75785d83be7d35edca6dc203a3d10c911d3e
 def test_family_commands_pinned_on_the_ladder():
     ladder = [(k, p) for k in range(2, 7) for p in (3, 5, 7)]
     assert family_command_digest(ladder) == FAMILY_COMMANDS_LADDER_SHA256
+
+
+def cyclic_command_digest() -> str:
+    """sha256 of the concatenated stdout of the `--cyclic N` commands, run in
+    process: group info and the hosoya, rs-hosoya and wiener invariants on
+    N = 1..64 and eight larger N up to 1024, both graph formats on N <= 64,
+    210 and 256, and matching-poly and hosoya-index on N <= 30."""
+    small = range(1, 65)
+    argvs = [argv for n in [*small, 100, 210, 256, 360, 512, 997, 1000, 1024]
+             for argv in [["group", "--cyclic", str(n), "info"]]
+             + [["invariant", which, "--cyclic", str(n)]
+                for which in ("hosoya", "rs-hosoya", "wiener")]]
+    argvs += [["graph", "--cyclic", str(n), "--format", fmt]
+              for n in [*small, 210, 256] for fmt in ("edges", "dot")]
+    argvs += [["invariant", which, "--cyclic", str(n)]
+              for n in range(1, 31) for which in ("matching-poly", "hosoya-index")]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        for argv in argvs:
+            assert main(argv) == 0, argv
+    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
+# recorded while Z_N was an explicit N x N Cayley table, before its power
+# graph was walked on the rule a + b mod N
+CYCLIC_COMMANDS_SHA256 = "793bf8dc99a07f64ffe4ff7e025f026c7fda4dc1a461874ea308d0c657c036b9"
+
+
+def test_cyclic_commands_pinned():
+    assert cyclic_command_digest() == CYCLIC_COMMANDS_SHA256
 
 
 def verify_doc(tmp_path, name, extra=(), env_dir=None):

@@ -65,6 +65,11 @@ def family_table_by_definition(params):
     return tuple(table)
 
 
+def cyclic_table_by_definition(n):
+    """The Cayley table of Z_n entry by entry: a * b = a + b mod n."""
+    return tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_family_table_matches_definition(k, p):
@@ -94,14 +99,55 @@ def test_power_graph_by_rule_equals_the_table_walk_on_the_ladder():
     assert power_graph_mismatches(ladder) == []
 
 
+def cyclic_power_graph_mismatches(orders) -> list[int]:
+    """The N at which the power graph walked on the rule of Z_N differs from
+    the one walked on the table of cyclic_table_by_definition (labels
+    included)."""
+    bad = []
+    for n in orders:
+        g = build_cyclic(n)
+        by_table = FiniteGroup(n, cyclic_table_by_definition(n), g.labels)
+        if build_power_graph(g) != build_power_graph(by_table):
+            bad.append(n)
+    return bad
+
+
+def test_cyclic_power_graph_by_rule_equals_the_table_walk():
+    assert build_cyclic(24).table is None and build_cyclic(MAX_ORDER).table is None
+    assert cyclic_power_graph_mismatches([*range(1, 65), 210, 256, 1024]) == []
+
+
 def test_a_group_needs_a_table_or_a_family():
     g, params = build_cyclic(24), FamilyParams(2, 3)
-    message = "a group without a table needs its family parameters"
+    message = "a group without a table needs its product rule"
     for build in (lambda: FiniteGroup(24, None, g.labels),
-                  lambda: g._replace(table=None),
+                  lambda: g._replace(rule=None),
                   lambda: FiniteGroup._make([24, None, g.labels, None]),
-                  lambda: build_family(params)._replace(family=None)):
+                  lambda: build_family(params)._replace(rule=None)):
         with pytest.raises(GroupError, match=message):
+            build()
+
+
+def test_a_group_has_the_order_of_its_rule_or_table():
+    # 48 labels on the 24 elements of (2, 3) would give a power graph with
+    # 24 vertices that are no group elements
+    g, z = build_family(FamilyParams(2, 3)), build_cyclic(6)
+    labels = tuple(map(str, range(48)))
+    rule_message = r"^order 48 is neither n nor 2n for the rule \(12, 5\)$"
+    for build in (lambda: FiniteGroup(48, None, labels, g.rule),
+                  lambda: g._replace(order=48, labels=labels),
+                  lambda: FiniteGroup._make([48, None, labels, g.rule])):
+        with pytest.raises(GroupError, match=rule_message):
+            build()
+    with pytest.raises(GroupError, match=r"^order 3 is neither n nor 2n for the rule \(6, 1\)$"):
+        z._replace(order=3, labels=z.labels[:3])
+    assert z._replace(order=12, labels=labels[:12]).order == 12  # Z_6 x Z_2, a group
+    rows = cyclic_table_by_definition(6)
+    table_message = r"^order 5 but the table has 6 rows$"
+    for build in (lambda: FiniteGroup(5, rows, z.labels[:5]),
+                  lambda: table_group(rows)._replace(order=5, labels=z.labels[:5]),
+                  lambda: FiniteGroup._make([5, rows, z.labels[:5], None])):
+        with pytest.raises(GroupError, match=table_message):
             build()
 
 
@@ -136,7 +182,7 @@ def test_rule_walk_steps_right_multiplication_as_the_table_walk_does(monkeypatch
     monkeypatch.setattr(FamilyParams, "twist", property(lambda self: 3))
     params = FamilyParams(2, 5)
     labels = tuple(map(str, range(params.order)))
-    g = FiniteGroup(params.order, None, labels, params)
+    g = FiniteGroup(params.order, None, labels, (params.n_r, params.twist))
     x = params.n_r + 1
     assert g.mult(x, g.mult(x, x)) != g.mult(g.mult(x, x), x)
     assert list(cyclic_subgroups(g)) == list(cyclic_subgroups(table_group(explicit_rows(g))))
@@ -226,8 +272,12 @@ def test_partition_partner_pairs():
 
 
 def test_partition_requires_family_group():
-    with pytest.raises(ValueError):
-        partition(build_cyclic(24), FamilyParams(2, 3))
+    params = FamilyParams(2, 3)
+    g = family(2, 3)
+    for other in (build_cyclic(24), g._replace(order=12, labels=g.labels[:12]),
+                  family(2, 5), g._replace(rule=(12, 1))):
+        with pytest.raises(ValueError, match="not built by build_family with these parameters"):
+            partition(other, params)
 
 
 def test_identity_and_inverses():
@@ -320,9 +370,9 @@ def test_cayley_rejects_identity_elsewhere():
 
 def test_cayley_exact_validation_at_order_130():
     g = load_cayley_table(cayley_text(build_cyclic(130)))
-    assert g.table == build_cyclic(130).table
+    assert g.table == cyclic_table_by_definition(130)
     # a corrupted cell that keeps identity and inverses intact
-    rows = [list(r) for r in build_cyclic(130).table]
+    rows = [list(r) for r in cyclic_table_by_definition(130)]
     rows[5][7] = (rows[5][7] + 1) % 130 or 1
     with pytest.raises(GroupError, match=r"associativity fails at triple \(\d+, \d+, \d+\)"):
         load_cayley_table(rows_text(rows))
@@ -339,13 +389,13 @@ def corrupted_tables(draw):
     MAX_ORDER so large tables stay rare."""
     if draw(st.booleans()):
         bits = draw(st.integers(1, MAX_ORDER.bit_length() - 1))
-        g = build_cyclic(draw(st.integers(2, 1 << bits)))
+        table = cyclic_table_by_definition(draw(st.integers(2, 1 << bits)))
     else:
-        g = build_family(FamilyParams(*draw(st.sampled_from(FAMILY_PARAMS))))
-    n = g.order
+        table = explicit_rows(build_family(FamilyParams(*draw(st.sampled_from(FAMILY_PARAMS)))))
+    n = len(table)
     perm = [0] + draw(st.permutations(range(1, n)))
     rows = [[0] * n for _ in range(n)]
-    for a, row in enumerate(explicit_rows(g)):
+    for a, row in enumerate(table):
         out = rows[perm[a]]
         for b, ab in enumerate(row):
             out[perm[b]] = perm[ab]
@@ -473,7 +523,7 @@ def test_walks_choose_one_generator_for_a_cyclic_table(n):
     # the generators the validator runs Light's test on: the walk of a
     # generator of Z_n is the longest, and it reaches every element
     for seed in (1, 2):
-        table = relabelled(build_cyclic(n), seed).table
+        table = relabelled(table_group(cyclic_table_by_definition(n)), seed).table
         gens = list(_generators(table, _walk_starts(table)))
         assert len(gens) == 1 and all(_light_passes(table, g) for g in gens)
 

@@ -78,7 +78,7 @@ def test_reprs_are_unchanged():
         matching_polynomial(graph),
     )] == [
         "FamilyParams(k=2, p=3)",
-        "FiniteGroup(order=2, table=((0, 1), (1, 0)), labels=('0', '1'), family=None)",
+        "FiniteGroup(order=2, table=None, labels=('0', '1'), rule=(2, 1))",
         "Graph(n=2, adj=(2, 1), labels=('0', '1'))",
         "GroupPartition(h0=frozenset({0}), h1=frozenset(), h2=frozenset(), h3=frozenset(), "
         "u=0, partner_pairs=((1, 2),), n_r=4)",
@@ -101,8 +101,12 @@ def test_reprs_are_unchanged():
 def test_keywords_and_defaults_build_the_same_records():
     assert FamilyParams(p=3, k=2) == FamilyParams(2, 3)
     g = build_cyclic(3)
-    assert FiniteGroup(order=3, table=g.table, labels=g.labels) == g
-    assert g.family is None and g.identity == FiniteGroup.identity == 0
+    assert FiniteGroup(order=3, table=None, labels=g.labels, rule=(3, 1)) == g
+    assert g.rule == (3, 1) and g.identity == FiniteGroup.identity == 0
+    rows = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    h = FiniteGroup(3, rows, g.labels)
+    assert FiniteGroup(order=3, table=rows, labels=g.labels) == h
+    assert h.rule is None and h.identity == 0
 
 
 def test_replace_and_make_run_the_constructor_checks():
@@ -120,7 +124,7 @@ def test_replace_and_make_run_the_constructor_checks():
     with pytest.raises(GroupError, match="labels are not unique"):
         g._replace(labels=("a", "a"))
     with pytest.raises(GroupError, match="labels are not unique"):
-        FiniteGroup._make([2, g.table, ("a", "a"), None])
+        FiniteGroup._make([2, None, ("a", "a"), (2, 1)])
 
     graph = build_power_graph(g)
     assert Graph._make(graph) == graph
