@@ -25,7 +25,14 @@ from itertools import accumulate
 
 from .distance import RationalExponentPolynomial
 from .groups import FamilyParams
-from .matching import _add_into, _add_universal, _convolve, _ferrers_rooks, _k_n_row
+from .matching import (
+    _add_into,
+    _add_universal,
+    _binomial_times,
+    _convolve,
+    _ferrers_rooks,
+    _k_n_row,
+)
 
 MODES = ("printed", "corrected")
 
@@ -103,7 +110,7 @@ def paper_rs_hosoya(k: int, p: int, mode: str = "printed") -> RationalExponentPo
 
 
 # the least quarter q at which _family_table takes its binomial products from
-# the recurrence kernel; below it the Pascal chains and the convolution, whose
+# the recurrence kernel; below it the (1 + x) passes and the convolution, whose
 # inner loops run in C, are faster.  Summed over both modes the paths break
 # even at q = 24, printed mode alone at q = 29 (times in BENCH_pr29.json)
 RECURRENCE_MIN_QUARTER = 28
@@ -122,19 +129,22 @@ def _family_table(params: FamilyParams, mode: str) -> dict[str, tuple[range, lis
     map(c.__mul__) and added by one map(operator.add); a trailing 0 is an
     order past the end of a row (K_m has at most m // 2 edges).
 
-    The products take one of two exact paths, chosen by q.  Below
-    RECURRENCE_MIN_QUARTER, one Pascal chain per T row multiplies by
-    (1 + x) once per power (q whole-row passes), and m15 is a convolution:
-    O(q n) big-int operations, each pass in C.  From it on, m6, m11_n,
-    m11_q and m15 are read off coefficient recurrences (_zeroed_product),
-    O(n) big-int operations in a Python loop: the full K_m row t solves
+    Every product is first taken as T b, where b is the binomial row with
+    index 0 kept (b = 1 + B), and then zeroed once: T B = T b - T.  For a
+    whole row b = (1 + x)^l, so m12 and m11_p are one (1 + x) step of the
+    engine's _binomial_times on the T b of m11_n and m11_q.  The four other
+    T b take one of two exact paths, chosen by q.  Below
+    RECURRENCE_MIN_QUARTER, T (1 + x)^l is l whole-row passes of
+    _binomial_times, and m15 is a convolution: O(q n) big-int operations,
+    each pass in C.  From it on, they are read off coefficient recurrences
+    as t b - b (_cut_binomial_product, with t the full K_m row, t_0 = 1),
+    O(n) big-int operations in a Python loop: t solves
         corrected: 4x^2 t'' - ((4m-6)x + 2) t' + m(m-1) t = 0,
         printed:   4x^3 t''' + (14-4m) x^2 t'' + ((m-2)(m-3)x - 2) t' + m(m-1) = 0,
     and the cut row b = sum_(j<cut) C(N, j) x^j solves
         (1 + x) b' = N b - c x^(cut-1),  c = (N - cut + 1) C(N, cut - 1),
     and a product of D-finite series is D-finite (Stanley, "Differentiably
-    finite power series", 1980).  m12 and m11_p then take one (1 + x)
-    step each: T B(l+1) = (1 + x) T B(l) + x T.
+    finite power series", 1980).
     """
     n, half, q = params.n_r, params.half, params.quarter
     t_n, t_n1, t_n2 = ([0, *_k_n_row(m, mode)[1:]] for m in (n, n - 1, n - 2))
@@ -149,18 +159,22 @@ def _family_table(params: FamilyParams, mode: str) -> dict[str, tuple[range, lis
             total = map(operator.add, total, map(c.__mul__, row))
         return list(total)
 
+    def by_recurrence(m: int, power: int, cut: int) -> list[int]:  # T b = t b - b
+        u = _cut_binomial_product(m, mode, power, cut)
+        u[:cut] = map(operator.sub, u, comb(power, 0, cut))  # cut <= power + 1 here
+        return u
+
+    # m15's row is printed as C(2^k p - 1, m) but cut off beyond q - 1
     if q >= RECURRENCE_MIN_QUARTER:
-        m6 = _zeroed_product(n, mode, q, q + 1)
-        m11_n = _zeroed_product(n - 1, mode, q - 1, q)
-        m11_q = _zeroed_product(n - 2, mode, q - 2, q - 1)
-        m15 = _zeroed_product(n - 2, mode, n - 1, q)
-        m12, m11_p = _one_power_up(m11_n, t_n1), _one_power_up(m11_q, t_n2)
+        m6, m11_n = by_recurrence(n, q, q + 1), by_recurrence(n - 1, q - 1, q)
+        m11_q, m15 = by_recurrence(n - 2, q - 2, q - 1), by_recurrence(n - 2, n - 1, q)
     else:
-        (m6,) = _pascal_chain(t_n, q)
-        m11_n, m12 = _pascal_chain(t_n1, q - 1, q)
-        m11_q, m11_p = _pascal_chain(t_n2, q - 2, q - 1)
-        # printed as C(2^k p - 1, m) but cut off beyond q - 1
-        m15 = _convolve(t_n2, [0, *comb(n - 1, 1, q)])
+        m6, m11_n = _binomial_times(t_n, q), _binomial_times(t_n1, q - 1)
+        m11_q, m15 = _binomial_times(t_n2, q - 2), _convolve(t_n2, comb(n - 1, 0, q))
+    m12, m11_p = _binomial_times(m11_n, 1), _binomial_times(m11_q, 1)
+    m6, m11_n, m12, m11_q, m11_p, m15 = (
+        list(map(operator.sub, u, t)) + u[len(t):] for u, t in (
+            (m6, t_n), (m11_n, t_n1), (m12, t_n1), (m11_q, t_n2), (m11_p, t_n2), (m15, t_n2)))
     m4 = comb(q, 1, q + 1)
     pairs = half * (half - 1) // 2
     return {
@@ -189,20 +203,6 @@ def _family_table(params: FamilyParams, mode: str) -> dict[str, tuple[range, lis
         "M14": (range(3, half + 2), lin((half * n, t_n2[1:]))),
         "M15": (range(4, 3 * q + 1), lin((half * n, m15[2:]))),
     }
-
-
-def _pascal_chain(t_row: list[int], *powers: int) -> list[list[int]]:
-    """conv(T, B(l)) for each of the ascending powers l, where B(l) is the
-    binomial row [0, C(l, 1), ..., C(l, l)] = (1 + x)^l - 1: T (1 + x)^l - T,
-    multiplying T by (1 + x) once per power by one whole-row pass of big-int
-    additions, cheaper than the products of a convolution."""
-    rows, row, done = [], t_row, 0
-    for power in powers:
-        for _ in range(done, power):
-            row = list(map(operator.add, [0, *row], [*row, 0]))
-        done = power
-        rows.append(list(map(operator.sub, row, t_row)) + row[len(t_row):])
-    return rows
 
 
 def _cut_binomial_product(m: int, mode: str, n: int, cut: int) -> list[int]:
@@ -268,25 +268,6 @@ def _cut_binomial_product(m: int, mode: str, n: int, cut: int) -> list[int]:
 def _inexact(m: int, mode: str, n: int, cut: int) -> ValueError:
     return ValueError(f"non-integral division in the {mode} recurrence for "
                       f"K_{m} times C({n}, j < {cut})")
-
-
-def _zeroed_product(m: int, mode: str, n: int, cut: int) -> list[int]:
-    """conv(T, B) for the K_m row T and the cut binomial row B, both with
-    index 0 set to 0: u - t - b + 1 in the terms of _cut_binomial_product."""
-    u = _cut_binomial_product(m, mode, n, cut)
-    t = _k_n_row(m, mode)
-    u[:len(t)] = map(operator.sub, u, t)
-    width = min(cut, n + 1)
-    u[:width] = [uj - math.comb(n, j) for j, uj in enumerate(u[:width])]
-    u[0] += 1
-    return u
-
-
-def _one_power_up(row: list[int], t_row: list[int]) -> list[int]:
-    """conv(T, B(l + 1)) = (1 + x) conv(T, B(l)) + x T from row = conv(T, B(l))."""
-    out = list(map(operator.add, [0, *row], [*row, 0]))
-    out[1:len(t_row) + 1] = map(operator.add, out[1:], t_row)
-    return out
 
 
 M5_ORDER_2_NOTE = \
@@ -358,8 +339,8 @@ def family_matching_polynomial(k: int, p: int) -> list[int]:
     with_u = _chain_matchings([0, *phi2[1:]], ys, gens)
     without_u = _chain_matchings([0, 0, *phi2[2:]], ys, gens)
     # a pair that u is not matched into is unmatched or matched along its edge
-    m = _convolve([math.comb(q, j) for j in range(q + 1)], with_u)
-    _add_into(m, _convolve([math.comb(q - 1, j) for j in range(q)], without_u), n_r // 2, 1)
+    m = _binomial_times(with_u, q)
+    _add_into(m, _binomial_times(without_u, q - 1), n_r // 2, 1)
     return _add_universal(m, 2 * n_r - 1, 1)  # e joins G - e
 
 

@@ -2,13 +2,22 @@
 
 matching_polynomial counts i-edge matchings for every i with MatchingEngine,
 a decomposition recursion memoized on vertex-subset bitmasks: components
-are factored, all two-vertex components at once as one binomial row, and
-each product of several factors is memoized too; a complete subgraph is read
-from the K_n row, universal vertices are added one at a time to the count
-of the rest, two cliques whose non-edges form a Ferrers board are counted
-from that board's rook numbers, and any other subgraph pivots on a vertex
-of maximum degree, with neighbours of equal closed neighbourhood taken
-once.  The oracle brute_force_matchings shares none of that and enumerates
+are factored, and each product of several factors is memoized too; a
+complete subgraph is read from the K_n row, universal vertices are added
+one at a time to the count of the rest, two cliques whose non-edges form a
+Ferrers board are counted from that board's rook numbers, and any other
+subgraph pivots on a vertex of maximum degree, with neighbours of equal
+closed neighbourhood taken once.
+
+Two steps here also serve the order-arithmetic count and the paper's family
+table in powg.formulas.  _binomial_times multiplies a row by (1 + x)^c, the
+factor of c disjoint edges (Farrell, "An introduction to matching
+polynomials", 1979), as c whole-row passes of additions; the engine applies
+it to all two-vertex components at once, after the larger components are
+convolved.  _k_n_row builds the K_n row by one ratio per order: a running
+value times C(n-2j+2, 2), divided by j, in both modes.
+
+The oracle brute_force_matchings shares none of that and enumerates
 every matching of up to 16 vertices; the tests keep a second engine,
 memoized on closed-twin class counts, in tests/oracles.py.  All counts are
 exact Python integers.
@@ -18,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections import namedtuple
 
 from .graphs import Graph, _components
@@ -67,6 +77,15 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
+def _binomial_times(row: list[int], c: int) -> list[int]:
+    """row * (1 + x)^c, the factor of c disjoint edges, by c whole-row passes
+    of big-int additions, cheaper than the products of a convolution with
+    the binomial row.  A new list when c > 0; row itself when c = 0."""
+    for _ in range(c):
+        row = list(map(operator.add, [0, *row], [*row, 0]))
+    return row
+
+
 def _add_universal(poly: list[int], n: int, count: int) -> list[int]:
     """Matching polynomial after count universal vertices join a graph on n
     vertices, one at a time: m_i(G + w) = m_i(G) + (n - 2i + 2) m_(i-1)(G).
@@ -106,9 +125,9 @@ class MatchingEngine:
     """One matching-polynomial computation by decomposition on vertex masks.
 
     A subgraph is split into components.  Its c two-vertex components are
-    multiplied in as one row (1 + x)^c, and a product of two or more factors
-    is memoized on (the masks of its larger components, c): removing one
-    vertex of a pair or another leaves the same product.  Every connected
+    multiplied in last, by c passes of _binomial_times, and a product of two
+    or more factors is memoized on (the masks of its larger components, c):
+    removing one vertex of a pair or another leaves the same product.  Every connected
     subgraph of three or more vertices is memoized on its vertex mask and
     solved by the first rule that holds on it:
     - complete: every vertex is universal, so it is K_n, read from the
@@ -175,15 +194,16 @@ class MatchingEngine:
                 big.append(comp)
             elif size == 2:
                 pairs += 1
-        row = [math.comb(pairs, j) for j in range(pairs + 1)]  # (1 + x)^pairs
         if len(big) + (pairs > 0) < 2:  # one factor or none
-            return self._connected_poly(big[0]) if big else row
+            return self._connected_poly(big[0]) if big else _binomial_times([1], pairs)
         key = (tuple(big), pairs)  # components come ordered by least vertex
         total = self.products.get(key)
         if total is None:
-            total = row
-            for comp in big:
+            total = self._connected_poly(big[0])
+            for comp in big[1:]:
                 total = _convolve(total, self._connected_poly(comp))
+            # a new list, not a memo's own: pairs > 0 here, or _convolve made one
+            total = _binomial_times(total, pairs)
             self._store(self.products, key, total)
         return total
 
@@ -321,24 +341,27 @@ def brute_force_matchings(graph: Graph) -> MatchingPolynomial:
 
 @functools.lru_cache(maxsize=128)
 def _k_n_row(n: int, mode: str) -> tuple[int, ...]:
-    """Tabled K_n matching counts for every order 0..n//2, by the ratio
-    recurrence prod_j = prod_{j-1} * C(n-2j+2, 2).
+    """Tabled K_n matching counts for every order 0..n//2, by one ratio
+    step per order: a running value is multiplied by C(n-2j+2, 2) and
+    divided by j, every division asserted exact.
 
-    The product is divided by j (printed) or j! (corrected); every entry is
-    asserted to divide exactly.  Callers validate mode first.
+    In printed mode the value is the product prod_(s<j) C(n-2s, 2) and
+    entry j its quotient by j, as tabled; in corrected mode the value is the
+    quotient itself, K_j = K_(j-1) C(n-2j+2, 2) / j = n! / (j! 2^j (n-2j)!).
+    Callers validate mode first.
     """
     row = [1]
-    prod = fact = 1
+    value = 1
     for j in range(1, n // 2 + 1):
-        prod *= math.comb(n - 2 * j + 2, 2)
-        fact *= j
-        div = j if mode == "printed" else fact
-        count, rem = divmod(prod, div)
+        value *= math.comb(n - 2 * j + 2, 2)
+        count, rem = divmod(value, j)
         if rem:
             raise ValueError(
-                f"non-integral division in {mode} mode: {prod} / {div} for (n={n}, i={j})"
+                f"non-integral division in {mode} mode: {value} / {j} for (n={n}, i={j})"
             )
         row.append(count)
+        if mode == "corrected":
+            value = count
     return tuple(row)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import operator
-import sys
 import time
 from collections import Counter
 from itertools import chain
@@ -53,10 +52,8 @@ class ResultCache:
 
 
 def jsonable(value):
-    """Recursively convert to JSON-safe data; big ints become strings, a
-    Fraction its "a/b" text or its integer, and a family table becomes the
-    list of its dict rows.  The fractions module is looked up, not imported:
-    no Fraction can exist before it is loaded."""
+    """Recursively convert to JSON-safe data; big ints become strings, and
+    a family table becomes the list of its dict rows."""
     if isinstance(value, bool):
         return value
     if isinstance(value, int):
@@ -69,9 +66,6 @@ def jsonable(value):
         return [jsonable(v) for v in value]
     if value is None or isinstance(value, str):
         return value
-    fractions = sys.modules.get("fractions")
-    if fractions is not None and isinstance(value, fractions.Fraction):
-        return str(value) if value.denominator != 1 else jsonable(value.numerator)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 

@@ -28,13 +28,10 @@ from powg.formulas import (
     _chain_matchings,
     _cut_binomial_product,
     _family_table,
-    _one_power_up,
-    _pascal_chain,
-    _zeroed_product,
     family_matching_polynomial,
 )
 from powg.groups import MAX_ORDER, _is_odd_prime
-from powg.matching import _convolve, _k_n_row
+from powg.matching import _binomial_times, _convolve, _k_n_row
 
 
 def test_hosoya_coeffs():
@@ -314,30 +311,32 @@ def test_arithmetic_count_pinned_on_the_ladder():
     assert arithmetic_count_digest(LADDER) == ARITHMETIC_LADDER_SHA256
 
 
-def binomial_product(t_row, power):
-    """conv(T, B(l)) by a direct convolution, B(l) = [0, C(l, 1), ..., C(l, l)]."""
-    return _convolve(t_row, [0] + [math.comb(power, j) for j in range(1, power + 1)])
+def binomial_product(row, power):
+    """row * (1 + x)^power by a direct convolution with the binomial row."""
+    return _convolve(row, [math.comb(power, j) for j in range(power + 1)])
 
 
 @pytest.mark.parametrize("k,p", LADDER)
 def test_pascal_rows_equal_direct_convolutions(k, p):
-    # the five rows _family_table takes from Pascal chains: m6 over T(n),
-    # m11_n and m12 over T(n-1), m11_q and m11_p over T(n-2)
+    # the five T (1 + x)^l that _family_table takes from whole-row passes
+    # below RECURRENCE_MIN_QUARTER: m6 over T(n), m11_n and m12 over T(n-1),
+    # m11_q and m11_p over T(n-2)
     params = FamilyParams(k, p)
     n, q = params.n_r, params.quarter
     for mode in MODES:
         for m, powers in ((n, (q,)), (n - 1, (q - 1, q)), (n - 2, (q - 2, q - 1))):
             t_row = [0, *_k_n_row(m, mode)[1:]]
-            expected = [binomial_product(t_row, power) for power in powers]
-            assert _pascal_chain(t_row, *powers) == expected, (m, powers, mode)
+            for power in powers:
+                assert _binomial_times(t_row, power) == binomial_product(t_row, power), \
+                    (m, power, mode)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(0, 10 ** 30), min_size=1, max_size=12),
-       st.lists(st.integers(0, 6), min_size=1, max_size=4))
-def test_pascal_chain_on_random_rows(t_row, powers):
-    powers.sort()
-    assert _pascal_chain(t_row, *powers) == [binomial_product(t_row, power) for power in powers]
+@given(st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=1, max_size=12), st.integers(0, 12))
+def test_binomial_times_on_random_rows(row, power):
+    before = list(row)
+    assert _binomial_times(row, power) == binomial_product(row, power)
+    assert row == before  # the input row is left as it was
 
 
 @settings(max_examples=300, deadline=None)
@@ -385,22 +384,24 @@ def test_k_n_rows_solve_their_differential_equations():
 
 
 def kernel_product_mismatches(cases) -> list[tuple[int, int, str, str]]:
-    """The (k, p, mode, product) where a product of _zeroed_product differs
-    from the Pascal chain or the convolution that _family_table takes below
-    RECURRENCE_MIN_QUARTER; called directly, so every q is checked."""
+    """The (k, p, mode, product) where a product t b of the recurrence kernel
+    differs from the (1 + x) passes or the convolution that _family_table
+    takes below RECURRENCE_MIN_QUARTER; called directly, so every q is
+    checked.  t is the full K_m row."""
     bad = []
     for k, p in cases:
         params = FamilyParams(k, p)
         n, q = params.n_r, params.quarter
         for mode in MODES:
-            t_n, t_n1, t_n2 = ([0, *_k_n_row(m, mode)[1:]] for m in (n, n - 1, n - 2))
-            cut_row = [0] + [math.comb(n - 1, j) for j in range(1, q)]
-            pairs = {"m6": (_zeroed_product(n, mode, q, q + 1), _pascal_chain(t_n, q)[0]),
-                     "m11_n": (_zeroed_product(n - 1, mode, q - 1, q),
-                               _pascal_chain(t_n1, q - 1)[0]),
-                     "m11_q": (_zeroed_product(n - 2, mode, q - 2, q - 1),
-                               _pascal_chain(t_n2, q - 2)[0]),
-                     "m15": (_zeroed_product(n - 2, mode, n - 1, q), _convolve(t_n2, cut_row))}
+            t_n, t_n1, t_n2 = (list(_k_n_row(m, mode)) for m in (n, n - 1, n - 2))
+            cut_row = [math.comb(n - 1, j) for j in range(q)]
+            pairs = {"m6": (_cut_binomial_product(n, mode, q, q + 1), _binomial_times(t_n, q)),
+                     "m11_n": (_cut_binomial_product(n - 1, mode, q - 1, q),
+                               _binomial_times(t_n1, q - 1)),
+                     "m11_q": (_cut_binomial_product(n - 2, mode, q - 2, q - 1),
+                               _binomial_times(t_n2, q - 2)),
+                     "m15": (_cut_binomial_product(n - 2, mode, n - 1, q),
+                             _convolve(t_n2, cut_row))}
             bad += [(k, p, mode, name) for name, (got, want) in pairs.items() if got != want]
     return bad
 
@@ -412,10 +413,11 @@ def test_kernel_products_equal_the_pascal_rows(k, p):
     n, q = params.n_r, params.quarter
     for mode in MODES:
         for m, power in ((n, q), (n - 1, q - 1), (n - 2, q - 2)):
-            t_row = [0, *_k_n_row(m, mode)[1:]]
-            row = _zeroed_product(m, mode, power, power + 1)
+            t_row = list(_k_n_row(m, mode))
+            row = _cut_binomial_product(m, mode, power, power + 1)
             assert row == binomial_product(t_row, power)
-            assert _one_power_up(row, t_row) == binomial_product(t_row, power + 1)
+            # m12 and m11_p: one more (1 + x) step
+            assert _binomial_times(row, 1) == binomial_product(t_row, power + 1)
 
 
 @pytest.mark.parametrize("q_min", [0, 1 << 30])

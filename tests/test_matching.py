@@ -149,8 +149,9 @@ def test_complete_graph_matchings_modes():
 
 def test_complete_graph_rows_match_factorial_identity():
     # independent of the ratio recurrence: corrected = n! / (i! 2^i (n-2i)!)
-    # and printed = (i-1)! * corrected, since the two differ by i!/i
-    for n in range(61):
+    # and printed = (i-1)! * corrected, since the two differ by i!/i; the
+    # long rows run up to MAX_ORDER (1024)
+    for n in (*range(61), 127, 383, 895, 1023, 1024):
         for i in range(n // 2 + 1):
             den = math.factorial(i) * 2 ** i * math.factorial(n - 2 * i)
             corrected, rem = divmod(math.factorial(n), den)
@@ -166,11 +167,14 @@ def test_complete_graph_rows_assert_exact_division(monkeypatch):
     import powg.matching as matching_mod
 
     matching_mod._k_n_row.cache_clear()
-    # C(., 2) forced to 3 makes prod_2 = 9, which 2! does not divide
+    # C(., 2) forced to 3 makes the running value 9 at order 2 in either
+    # mode (3 * 3 / 1 corrected, 3 * 3 printed), which 2 does not divide
     monkeypatch.setattr(matching_mod.math, "comb", lambda a, b: 3)
     try:
-        with pytest.raises(ValueError, match="non-integral division"):
-            complete_graph_matchings(6, 2, "corrected")
+        for mode in ("printed", "corrected"):
+            with pytest.raises(ValueError, match=rf"non-integral division in {mode} mode: "
+                                                 r"9 / 2 for \(n=6, i=2\)"):
+                complete_graph_matchings(6, 2, mode)
     finally:
         matching_mod._k_n_row.cache_clear()
 

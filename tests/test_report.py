@@ -77,8 +77,6 @@ scalars = st.one_of(
     st.booleans(),
     st.none(),
     st.sampled_from([0.1, -0.0, 1e300, float("nan"), float("inf"), float("-inf")]),
-    st.builds(Fraction, st.integers(min_value=-(10 ** 30), max_value=10 ** 30)),
-    st.builds(Fraction, st.integers(), st.integers(min_value=1, max_value=10 ** 6)),
     st.text(alphabet=st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\x7f", "a", "é",
                                       "\u2028", "\U0001F600"])),
 )
@@ -121,6 +119,9 @@ def test_render_report_fixed_documents_match_json_oracle():
     doc = verify_cases([2, 3], [3], skip_index_above=24)
     assert isinstance(doc["timings"]["total"], float)
     assert render_report(doc) == json_oracle(doc)
+    # a Fraction key is written by str(), but no report holds a Fraction value
+    with pytest.raises(TypeError, match="cannot serialize Fraction"):
+        render_report({"rs": Fraction(1, 2)})
 
 
 # keys with %, non-ASCII keys, and "1", which collides with the int key 1
@@ -134,9 +135,7 @@ column_kinds = st.sampled_from([
     st.booleans(),
     st.text(max_size=3, alphabet='a%"é\x00\u2028'),
     st.one_of(st.none(), st.text(max_size=2, alphabet="a%é")),
-    st.one_of(st.sampled_from([0.5, -0.0, float("nan"), float("inf")]),
-              st.builds(Fraction, st.integers(min_value=-5, max_value=5),
-                        st.integers(min_value=1, max_value=3))),
+    st.sampled_from([0.5, -0.0, float("nan"), float("inf")]),
     documents,
 ])
 
