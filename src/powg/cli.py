@@ -20,6 +20,7 @@ import sys
 
 from .distance import hosoya_polynomial, rs_hosoya_polynomial, wiener_index
 from .formulas import (
+    MODES,
     paper_degree_claims,
     paper_edge_type_counts,
     paper_hosoya_coeffs,
@@ -125,7 +126,7 @@ def build_parser(command: str | None = None) -> _Parser:
         sp.add_argument("--p", type=int, required=True)
         sp.add_argument("--which", required=True,
                         choices=["hosoya", "rs-hosoya", "index", "degrees", "edge-types"])
-        sp.add_argument("--mode", choices=["printed", "corrected"], default="printed")
+        sp.add_argument("--mode", choices=MODES, default=MODES[0])
 
     if command in (None, "verify"):
         sp = sub.add_parser("verify", help="batch oracle-vs-formula verification")

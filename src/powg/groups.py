@@ -220,13 +220,9 @@ def build_cyclic(n: int) -> FiniteGroup:
 
 
 def element_order(g: FiniteGroup, x: int) -> int:
-    """Least t >= 1 with x^t = e; GroupError if no t <= |G| works."""
-    y = x
-    for t in range(1, g.order + 1):
-        if y == 0:
-            return t
-        y = g.mult(y, x)
-    raise GroupError(f"powers of element {x} never reach the identity")
+    """Least t >= 1 with x^t = e, the size of <x>; GroupError if no t <= |G|
+    works."""
+    return len(cyclic_subgroup(g, x))
 
 
 def cyclic_subgroup(g: FiniteGroup, x: int) -> frozenset[int]:

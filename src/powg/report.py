@@ -18,6 +18,7 @@ from itertools import chain
 from . import __version__
 from .distance import distance_profile
 from .formulas import (
+    MODES,
     FamilyTable,
     family_matching_polynomial,
     paper_degree_claims,
@@ -97,58 +98,43 @@ def _degree_block(graph, part):
 
 
 def _diff_rows(oracle, paper_by_mode, part):
-    """Diff rows of one case, sorted by (invariant, location, mode)."""
+    """Diff rows of one case, sorted by (invariant, location, mode).
+
+    Each invariant is a map, and a location is a key with the invariant's
+    prefix: the Hosoya coefficients by "dis{i}", the rs terms by "x^{exp}",
+    the degrees by class, the edge kinds by kind and the index by "total".
+    A class histogram that gives every vertex of h1, h2 or h3 the stated
+    degree reads as that degree.  One rule then compares every pair of maps:
+    a location missing from one side counts as 0, and a row is written where
+    the values differ.  The blocks that do not depend on the mode are
+    compared once, against the block of MODES[0] (printed), with mode
+    "both"; the rs terms and the index once per mode, the index only when it
+    was computed.
+    """
+    printed = paper_by_mode[MODES[0]]
+    stated = printed["degrees"]
+    uniform = {cls: {stated[cls]: len(getattr(part, cls))} for cls in ("h1", "h2", "h3")}
+    checks = [
+        ("hosoya_polynomial", "both", "dis", dict(enumerate(oracle["hosoya_coefficients"])),
+         dict(enumerate(printed["hosoya_coefficients"]))),
+        ("degrees", "both", "", {cls: stated[cls] if value == uniform.get(cls) else value
+                                 for cls, value in oracle["degrees"].items()}, stated),
+        ("edge_types", "both", "", oracle["edge_kind_counts"], printed["edge_kind_counts"]),
+    ]
+    for mode in MODES:
+        block = paper_by_mode[mode]
+        checks.append(("rs_hosoya", mode, "x^", oracle["rs_hosoya_terms"], block["rs_hosoya_terms"]))
+        if oracle["hosoya_index"] is not None:
+            checks.append(("hosoya_index", mode, "", {"total": oracle["hosoya_index"]},
+                           {"total": block["hosoya_index"]["total"]}))
+
     diffs = []
-
-    def add(invariant, location, oval, pval, mode):
-        diffs.append({
-            "invariant": invariant,
-            "location": location,
-            "oracle": oval,
-            "paper": pval,
-            "mode": mode,
-        })
-
-    coeffs_o = oracle["hosoya_coefficients"]
-    coeffs_p = paper_by_mode["printed"]["hosoya_coefficients"]
-    for i in range(max(len(coeffs_o), len(coeffs_p))):
-        ov = coeffs_o[i] if i < len(coeffs_o) else 0
-        pv = coeffs_p[i] if i < len(coeffs_p) else 0
-        if ov != pv:
-            add("hosoya_polynomial", f"dis{i}", ov, pv, "both")
-
-    o_terms = oracle["rs_hosoya_terms"]
-    for mode in ("printed", "corrected"):
-        p_terms = paper_by_mode[mode]["rs_hosoya_terms"]
-        for exp in o_terms | p_terms:
-            ov, pv = o_terms.get(exp, 0), p_terms.get(exp, 0)
+    for invariant, mode, prefix, o_map, p_map in checks:
+        for key in o_map | p_map:
+            ov, pv = o_map.get(key, 0), p_map.get(key, 0)
             if ov != pv:
-                add("rs_hosoya", f"x^{exp}", ov, pv, mode)
-
-    o_deg = oracle["degrees"]
-    p_deg = paper_by_mode["printed"]["degrees"]
-    for cls in ("e", "u"):
-        if o_deg[cls] != p_deg[cls]:
-            add("degrees", cls, o_deg[cls], p_deg[cls], "both")
-    class_sizes = {"h1": len(part.h1), "h2": len(part.h2), "h3": len(part.h3)}
-    for cls in ("h1", "h2", "h3"):
-        uniform = {p_deg[cls]: class_sizes[cls]}
-        if o_deg[cls] != uniform:
-            add("degrees", cls, o_deg[cls], p_deg[cls], "both")
-
-    o_kinds = oracle["edge_kind_counts"]
-    p_kinds = paper_by_mode["printed"]["edge_kind_counts"]
-    for kind in sorted(set(o_kinds) | set(p_kinds)):
-        ov, pv = o_kinds.get(kind, 0), p_kinds.get(kind, 0)
-        if ov != pv:
-            add("edge_types", kind, ov, pv, "both")
-
-    if oracle["hosoya_index"] is not None:
-        for mode in ("printed", "corrected"):
-            pv = paper_by_mode[mode]["hosoya_index"]["total"]
-            if oracle["hosoya_index"] != pv:
-                add("hosoya_index", "total", oracle["hosoya_index"], pv, mode)
-
+                diffs.append({"invariant": invariant, "location": f"{prefix}{key}",
+                              "oracle": ov, "paper": pv, "mode": mode})
     diffs.sort(key=lambda d: (d["invariant"], d["location"], d["mode"]))
     return diffs
 
@@ -210,7 +196,7 @@ def compare(k: int, p: int, *, include_index: bool = True) -> dict:
     coeffs = list(paper_hosoya_coeffs(k, p))
     degrees = paper_degree_claims(k, p)
     kinds = paper_edge_type_counts(k, p)
-    for mode in ("printed", "corrected"):
+    for mode in MODES:
         total, rows = paper_hosoya_index(k, p, mode)
         paper_by_mode[mode] = {
             "hosoya_coefficients": coeffs,

@@ -4,6 +4,7 @@ import io
 import json
 from contextlib import redirect_stdout
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,6 +42,12 @@ def test_pinned_report_digest():
 # CI checks VERIFY_LADDER_SHA256 with verify_report_digest.
 VERIFY_DEFAULT_SHA256 = "224517d3ab8d1ff5c249256c1749963cb2e775bdeb943a52ad6d02b4075a5572"
 VERIFY_LADDER_SHA256 = "6e96306e21fcf01321d05d3bedaff369ce4e69a93e02abbd24cf3108fd7cf127"
+# sha256 chained over the timing-stripped report of each of the 66 valid
+# (k, p), the index on up to order 224, recorded from the diff rows written
+# once per invariant, before one rule compared them all.  CI checks it with
+# valid_cases_report_digest(test_formulas.VALID_CASES).
+VERIFY_VALID_CASES_SHA256 = "96497e2a9393fc2ed35cac3dcef28bf540a95b5cd207656b1f411492b86372b6"
+VALID_CASES_SKIP_INDEX_ABOVE = 224
 
 
 def verify_report_digest(argv) -> str:
@@ -61,6 +68,78 @@ def test_verify_report_pinned_at_the_default_cut_off():
     for case in doc["cases"]:
         keys = [(d["invariant"], d["location"], d["mode"]) for d in case["diffs"]]
         assert len(set(keys)) == len(keys)
+
+
+def valid_cases_report_digest(cases) -> str:
+    """sha256 over the rendered, timing-stripped report of each case in
+    turn, one verify_cases run per case."""
+    digest = hashlib.sha256()
+    for k, p in cases:
+        doc = strip_timings(verify_cases([k], [p], skip_index_above=VALID_CASES_SKIP_INDEX_ABOVE))
+        digest.update(render_report(doc).encode("utf-8"))
+    return digest.hexdigest()
+
+
+def _hand_built_blocks(index=None):
+    """An oracle block, two paper blocks and the classes h1-h3 (sizes 2, 2
+    and 3) small enough to list every diff row they give by hand."""
+    oracle = {
+        "hosoya_coefficients": [5, 3, 2],
+        "rs_hosoya_terms": {"2": 1, "3/2": 4},
+        "degrees": {"e": 4, "u": 2, "h1": {3: 2}, "h2": {1: 1, 2: 1}, "h3": {5: 3}},
+        "edge_kind_counts": {"eu": 1, "vw": 2},
+        "hosoya_index": index,
+    }
+    shared = {
+        "hosoya_coefficients": [5, 4],
+        "degrees": {"e": 4, "u": 3, "h1": 3, "h2": 2, "h3": 4},
+        "edge_kind_counts": {"eu": 1, "yz": 6},
+    }
+    paper = {
+        "printed": {**shared, "rs_hosoya_terms": {"2": 1}, "hosoya_index": {"total": 9}},
+        "corrected": {**shared, "rs_hosoya_terms": {"2": 2}, "hosoya_index": {"total": 10}},
+    }
+    part = SimpleNamespace(h1=[1, 2], h2=[3, 4], h3=[5, 6, 7])
+    return oracle, paper, part
+
+
+def _row(invariant, location, oracle, paper, mode):
+    return {"invariant": invariant, "location": location, "oracle": oracle, "paper": paper,
+            "mode": mode}
+
+
+def test_diff_rows_follow_one_rule_on_hand_built_blocks():
+    oracle, paper, part = _hand_built_blocks()
+    assert report._diff_rows(oracle, paper, part) == [
+        # h1 gives each of its 2 vertices the stated degree 3: no row
+        _row("degrees", "h2", {1: 1, 2: 1}, 2, "both"),
+        _row("degrees", "h3", {5: 3}, 4, "both"),
+        _row("degrees", "u", 2, 3, "both"),
+        _row("edge_types", "vw", 2, 0, "both"),
+        _row("edge_types", "yz", 0, 6, "both"),
+        _row("hosoya_polynomial", "dis1", 3, 4, "both"),
+        _row("hosoya_polynomial", "dis2", 2, 0, "both"),
+        # x^3/2 is on the oracle side only, a row in each mode
+        _row("rs_hosoya", "x^2", 1, 2, "corrected"),
+        _row("rs_hosoya", "x^3/2", 4, 0, "corrected"),
+        _row("rs_hosoya", "x^3/2", 4, 0, "printed"),
+    ]
+    # the short side is the oracle's: its missing dis2 counts as 0
+    paper["printed"]["hosoya_coefficients"] = [5, 3, 2, 7]
+    rows = report._diff_rows(oracle, paper, part)
+    assert [r for r in rows if r["invariant"] == "hosoya_polynomial"] == [
+        _row("hosoya_polynomial", "dis3", 0, 7, "both")]
+
+
+def test_diff_rows_of_the_index_in_each_mode():
+    oracle, paper, part = _hand_built_blocks(index=10)
+    rows = report._diff_rows(oracle, paper, part)
+    assert [r for r in rows if r["invariant"] == "hosoya_index"] == [
+        _row("hosoya_index", "total", 10, 9, "printed")]
+    assert rows == sorted(rows, key=lambda r: (r["invariant"], r["location"], r["mode"]))
+    oracle["hosoya_index"] = None  # skipped: no index row in either mode
+    assert [r for r in report._diff_rows(oracle, paper, part)
+            if r["invariant"] == "hosoya_index"] == []
 
 
 def json_oracle(doc) -> str:
