@@ -26,22 +26,17 @@ from itertools import accumulate
 from .distance import RationalExponentPolynomial
 from .groups import FamilyParams
 from .matching import (
+    MODES,
     _add_into,
     _add_universal,
     _binomial_times,
+    _check_mode,
     _convolve,
     _ferrers_rooks,
     _k_n_row,
 )
 
-MODES = ("printed", "corrected")
-
 FAMILY_TAGS = tuple(f"M{j}" for j in range(1, 16))
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r} (expected 'printed' or 'corrected')")
 
 
 def paper_hosoya_coeffs(k: int, p: int) -> tuple[int, int, int]:
@@ -111,8 +106,9 @@ def paper_rs_hosoya(k: int, p: int, mode: str = "printed") -> RationalExponentPo
 
 # the least quarter q at which _family_table takes its binomial products from
 # the recurrence kernel; below it the (1 + x) passes and the convolution, whose
-# inner loops run in C, are faster.  Summed over both modes the paths break
-# even at q = 24, printed mode alone at q = 29 (times in BENCH_pr29.json)
+# inner loops run in C, are faster.  For the three products taken either way
+# (m11_n, m11_q, m15), summed over both modes, the paths break even at q = 22
+# to 23, printed mode alone at q = 28 to 29 (times in BENCH_pr34.json)
 RECURRENCE_MIN_QUARTER = 28
 
 
@@ -132,8 +128,16 @@ def _family_table(params: FamilyParams, mode: str) -> dict[str, tuple[range, lis
     Every product is first taken as T b, where b is the binomial row with
     index 0 kept (b = 1 + B), and then zeroed once: T B = T b - T.  For a
     whole row b = (1 + x)^l, so m12 and m11_p are one (1 + x) step of the
-    engine's _binomial_times on the T b of m11_n and m11_q.  The four other
-    T b take one of two exact paths, chosen by q.  Below
+    engine's _binomial_times on the T b of m11_n and m11_q, and m6 follows
+    from those two by the clique recurrence K_n = K_(n-1) + (n-1) x K_(n-2)
+    (Farrell, "An introduction to matching polynomials", 1979).  Printed
+    mode tables T(n, j) = (j-1)! K_n[j], so there T(n) = T(n-1) + (n-1) x
+    (theta T(n-2) + 1), with theta = x d/dx, and theta(T) b = theta(T b) -
+    q x T (1 + x)^(q-1); with b = (1 + x)^q,
+        corrected: T(n) b = m12 + (n-1) x ((1 + x) m11_p + b),
+        printed:   T(n) b = m12 + (n-1) x (theta((1 + x) m11_p) - q x m11_p + b).
+    The three other T b (m11_n, m11_q, m15) take one of two exact paths,
+    chosen by q.  Below
     RECURRENCE_MIN_QUARTER, T (1 + x)^l is l whole-row passes of
     _binomial_times, and m15 is a convolution: O(q n) big-int operations,
     each pass in C.  From it on, they are read off coefficient recurrences
@@ -166,12 +170,13 @@ def _family_table(params: FamilyParams, mode: str) -> dict[str, tuple[range, lis
 
     # m15's row is printed as C(2^k p - 1, m) but cut off beyond q - 1
     if q >= RECURRENCE_MIN_QUARTER:
-        m6, m11_n = by_recurrence(n, q, q + 1), by_recurrence(n - 1, q - 1, q)
-        m11_q, m15 = by_recurrence(n - 2, q - 2, q - 1), by_recurrence(n - 2, n - 1, q)
+        m11_n, m11_q = by_recurrence(n - 1, q - 1, q), by_recurrence(n - 2, q - 2, q - 1)
+        m15 = by_recurrence(n - 2, n - 1, q)
     else:
-        m6, m11_n = _binomial_times(t_n, q), _binomial_times(t_n1, q - 1)
-        m11_q, m15 = _binomial_times(t_n2, q - 2), _convolve(t_n2, comb(n - 1, 0, q))
+        m11_n, m11_q = _binomial_times(t_n1, q - 1), _binomial_times(t_n2, q - 2)
+        m15 = _convolve(t_n2, comb(n - 1, 0, q))
     m12, m11_p = _binomial_times(m11_n, 1), _binomial_times(m11_q, 1)
+    m6 = _clique_product(m12, m11_p, n, q, mode)
     m6, m11_n, m12, m11_q, m11_p, m15 = (
         list(map(operator.sub, u, t)) + u[len(t):] for u, t in (
             (m6, t_n), (m11_n, t_n1), (m12, t_n1), (m11_q, t_n2), (m11_p, t_n2), (m15, t_n2)))
@@ -203,6 +208,19 @@ def _family_table(params: FamilyParams, mode: str) -> dict[str, tuple[range, lis
         "M14": (range(3, half + 2), lin((half * n, t_n2[1:]))),
         "M15": (range(4, 3 * q + 1), lin((half * n, m15[2:]))),
     }
+
+
+def _clique_product(m12: list[int], m11_p: list[int], n: int, q: int, mode: str) -> list[int]:
+    """T(n) (1 + x)^q from m12 = T(n-1) (1 + x)^q and m11_p = T(n-2)
+    (1 + x)^(q-1), where T(m) is the mode's tabled K_m row with index 0 set
+    to 0 and n is even, by the clique recurrence as _family_table states it:
+    m12 + (n-1) x d, d by mode."""
+    d = _binomial_times(m11_p, 1)
+    if mode == "printed":
+        d = list(map(operator.mul, range(len(d)), d))  # theta
+        d[1:] = map(operator.sub, d[1:], map(q.__mul__, m11_p))
+    d[:q + 1] = map(operator.add, d, [math.comb(q, j) for j in range(q + 1)])
+    return [0, *map(operator.add, m12[1:] + [0], map((n - 1).__mul__, d))]
 
 
 def _cut_binomial_product(m: int, mode: str, n: int, cut: int) -> list[int]:

@@ -36,6 +36,15 @@ from .graphs import Graph, _components
 MEMO_LIMIT = 1 << 26
 BRUTE_FORCE_MAX_VERTICES = 16
 
+# the two evaluation modes of the K_n table: "printed" as tabled, with the
+# 1/i factor, and "corrected", with 1/i!
+MODES = ("printed", "corrected")
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r} (expected {' or '.join(map(repr, MODES))})")
+
 
 class MatchingLimitError(RuntimeError):
     """The memo entry cap, the recursion depth or memory ran out in a run."""
@@ -372,8 +381,7 @@ def complete_graph_matchings(n: int, i: int, mode: str = "corrected") -> int:
     corrected mode uses the 1/i! factor, n! / (i! 2^i (n-2i)!).  Division is
     asserted exact; i = 0 returns 1 in either mode (empty matching).
     """
-    if mode not in ("printed", "corrected"):
-        raise ValueError(f"unknown mode {mode!r}")
+    _check_mode(mode)
     if i < 0 or 2 * i > n:
         raise ValueError(f"order {i} out of range for K_{n}")
     return _k_n_row(n, mode)[i]

@@ -246,9 +246,10 @@ def render_report(doc: dict) -> str:
     A dict is written as one row, value by value.  A list of plain dicts that
     share one set of str keys, such as the diff rows, takes the texts of each
     column in one pass (see _record_columns and _column_texts) and is
-    written row by row.  A family table is its count column interleaved with
-    the text between counts, built once per layout and indentation, so a
-    case's two modes share it (see _table_text).
+    written row by row.  A family table is its count column, each count as
+    quote mark, digits and quote mark from whole-column map passes,
+    interleaved with the text between counts, built once per layout and
+    indentation, so a case's two modes share it (see _table_text).
     """
     chunks: list[str] = []
     out = chunks.append
@@ -345,10 +346,7 @@ def _column_texts(values) -> list:
     if kinds == {str}:
         return list(map(_encode_str, values))
     if kinds == {int}:
-        try:
-            texts = list(map(int.__repr__, values))
-        except ValueError:  # past the digit limit
-            texts = list(map(_digits, values))
+        texts = _int_reprs(values)
         if max(values) > JSON_SAFE_INT or min(values) < -JSON_SAFE_INT:
             texts = [text if -JSON_SAFE_INT <= value <= JSON_SAFE_INT else '"' + text + '"'
                      for value, text in zip(values, texts)]
@@ -356,11 +354,22 @@ def _column_texts(values) -> list:
     return list(map(_scalar_text, values))
 
 
+def _int_reprs(values) -> list[str]:
+    """The decimal texts of a list of ints, in one pass."""
+    try:
+        return list(map(int.__repr__, values))
+    except ValueError:  # past the digit limit
+        return list(map(_digits, values))
+
+
 def _table_text(table: FamilyTable, newline: str, between: dict) -> str:
-    """JSON text of jsonable(table): each count text from _column_texts, then
-    the text up to the next count (the row's family, note and order, the
-    next row's head), which between holds per (layout, newline)."""
-    if not table.counts:
+    """JSON text of jsonable(table): each count as its quote mark (a '"'
+    beyond 2^53, else none), digits and quote mark again, then the text up
+    to the next count (the row's family, note and order, the next row's
+    head), which between holds per (layout, newline).  Each column is one
+    map pass, so no Python-level step runs per count."""
+    counts = table.counts
+    if not counts:
         return "[]"
     inner, cell = newline + "  ", newline + "    "
     head = inner + "{" + cell + '"count": '
@@ -374,7 +383,9 @@ def _table_text(table: FamilyTable, newline: str, between: dict) -> str:
             texts += [f"{lead}{i}{inner}}},{head}" for i in orders]
         texts[-1] = texts[-1][:-len(head) - 1] + newline + "]"
         between[table.layout, newline] = texts
-    return "[" + head + "".join(chain.from_iterable(zip(_column_texts(table.counts), texts)))
+    digits = _int_reprs(counts)
+    quotes = list(map(("", '"').__getitem__, map(JSON_SAFE_INT.__lt__, map(abs, counts))))
+    return "[" + head + "".join(chain.from_iterable(zip(quotes, digits, quotes, texts)))
 
 
 def _scalar_text(value) -> str | None:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -26,12 +27,14 @@ from powg.formulas import (
     MODES,
     FamilyTable,
     _chain_matchings,
+    _clique_product,
     _cut_binomial_product,
     _family_table,
     family_matching_polynomial,
 )
 from powg.groups import MAX_ORDER, _is_odd_prime
-from powg.matching import _binomial_times, _convolve, _k_n_row
+import powg.matching
+from powg.matching import _binomial_times, _convolve, _k_n_row, complete_graph_matchings
 
 
 def test_hosoya_coeffs():
@@ -383,11 +386,57 @@ def test_k_n_rows_solve_their_differential_equations():
                                 (-2, 0, t1), (m * (m - 1), 0, [1]))), m
 
 
+def test_k_n_rows_follow_the_clique_recurrence():
+    # K_n = K_(n-1) + (n-1) x D(K_(n-2)), the premise of _clique_product: D is
+    # the identity in corrected mode, and theta = x d/dx plus the constant 1 in
+    # printed mode, whose entry j is (j-1)! times the corrected one
+    for n in range(3, 401):
+        for mode in MODES:
+            row = list(_k_n_row(n - 2, mode))
+            if mode == "printed":
+                row = _combine((1, 0, [j * c for j, c in enumerate(row)]), (1, 0, [1]))
+            assert _combine((1, 0, _k_n_row(n - 1, mode)), (n - 1, 1, row)) == \
+                list(_k_n_row(n, mode)), (n, mode)
+
+
+def _zeroed(row):
+    return [0, *row[1:]]
+
+
+@pytest.mark.parametrize("k,p", LADDER)
+def test_clique_product_equals_the_convolution_on_either_path(k, p):
+    # m6 = T(n) (1 + x)^q from m12 and m11_p, each taken as _family_table
+    # takes it below RECURRENCE_MIN_QUARTER (passes) and from it on (kernel)
+    params = FamilyParams(k, p)
+    n, q = params.n_r, params.quarter
+    for mode in MODES:
+        t_n, t_n1, t_n2 = (_zeroed(_k_n_row(m, mode)) for m in (n, n - 1, n - 2))
+        by_kernel = [list(map(operator.sub, _cut_binomial_product(m, mode, power, power + 1),
+                              [math.comb(power, j) for j in range(power + 1)] + [0] * m))
+                     for m, power in ((n - 1, q - 1), (n - 2, q - 2))]
+        for m11_n, m11_q in ((_binomial_times(t_n1, q - 1), _binomial_times(t_n2, q - 2)),
+                             by_kernel):
+            m12, m11_p = _binomial_times(m11_n, 1), _binomial_times(m11_q, 1)
+            assert _clique_product(m12, m11_p, n, q, mode) == binomial_product(t_n, q), mode
+
+
+def test_both_mode_checks_raise_one_message():
+    assert powg.formulas.MODES is powg.matching.MODES == ("printed", "corrected")
+    message = "unknown mode 'x' (expected 'printed' or 'corrected')"
+    for call in (lambda: complete_graph_matchings(4, 1, "x"), lambda: paper_rs_hosoya(2, 3, "x"),
+                 lambda: paper_hosoya_index(2, 3, "x")):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+
 def kernel_product_mismatches(cases) -> list[tuple[int, int, str, str]]:
     """The (k, p, mode, product) where a product t b of the recurrence kernel
     differs from the (1 + x) passes or the convolution that _family_table
     takes below RECURRENCE_MIN_QUARTER; called directly, so every q is
-    checked.  t is the full K_m row."""
+    checked.  t is the full K_m row.  Also "m6 clique", where the m6 that
+    _family_table derives from m12 and m11_p by the clique recurrence
+    differs from T(n) (1 + x)^q by passes, T the row with index 0 set to 0."""
     bad = []
     for k, p in cases:
         params = FamilyParams(k, p)
@@ -395,7 +444,10 @@ def kernel_product_mismatches(cases) -> list[tuple[int, int, str, str]]:
         for mode in MODES:
             t_n, t_n1, t_n2 = (list(_k_n_row(m, mode)) for m in (n, n - 1, n - 2))
             cut_row = [math.comb(n - 1, j) for j in range(q)]
+            m12, m11_p = _binomial_times(_zeroed(t_n1), q), _binomial_times(_zeroed(t_n2), q - 1)
             pairs = {"m6": (_cut_binomial_product(n, mode, q, q + 1), _binomial_times(t_n, q)),
+                     "m6 clique": (_clique_product(m12, m11_p, n, q, mode),
+                                   _binomial_times(_zeroed(t_n), q)),
                      "m11_n": (_cut_binomial_product(n - 1, mode, q - 1, q),
                                _binomial_times(t_n1, q - 1)),
                      "m11_q": (_cut_binomial_product(n - 2, mode, q - 2, q - 1),
