@@ -229,8 +229,10 @@ def _cut_binomial_product(m: int, mode: str, n: int, cut: int) -> list[int]:
     recurrences that the differential equations of t and b (see
     _family_table) give for u, y = t' b and, in printed mode, z = t'' b.
     With c = (n - cut + 1) C(n, cut - 1), t_j = 0 off the row and
-    y_(-1) = z_(-1) = z_(-2) = 0, from u_0 = 1 and y_0 = t_1:
-        u_(k+1) = ((n-k) u_k + y_k + y_(k-1) - c t_(k+1-cut)) / (k+1);
+    y_(-1) = z_(-1) = z_(-2) = 0, from u_0 = 1 and y_0 = t_1, each k takes
+    the u step of b's equation, the same in both modes,
+        u_(k+1) = ((n-k) u_k + y_k + y_(k-1) - c t_(k+1-cut)) / (k+1),
+    then the y step of t's equation, which alone (with printed z) depends on mode:
       corrected:
         y_(k+1) = ((4k+4-4m) y_k + (4k+2-4m-4n) y_(k-1) + m(m-1)(u_(k+1) + u_k)
                    + 4c (k+1-cut) t_(k+1-cut)) / 2;
@@ -248,44 +250,30 @@ def _cut_binomial_product(m: int, mode: str, n: int, cut: int) -> list[int]:
     ct = [0] * (size + 2)  # ct[k + 1] = c t_(k+1-cut)
     if c:
         ct[cut:cut + len(t)] = [c * tj for tj in t]
+    printed = mode == "printed"
+    if printed:
+        b = [0] * (size + 1)
+        b[:width] = [math.comb(n, j) for j in range(width)]
     u = [1] * size
     uk, y0, y1 = 1, 0, t[1] if len(t) > 1 else 0  # u_k, y_(k-1), y_k
-    mm = m * (m - 1)
-    if mode == "corrected":
-        for k in range(size - 1):
-            un, r = divmod((n - k) * uk + y1 + y0 - ct[k + 1], k + 1)
-            if r:
-                raise _inexact(m, mode, n, cut)
-            yn, r = divmod((4 * k + 4 - 4 * m) * y1 + (4 * k + 2 - 4 * m - 4 * n) * y0
-                           + mm * (un + uk) + 4 * (k + 1 - cut) * ct[k + 1], 2)
-            if r:
-                raise _inexact(m, mode, n, cut)
-            u[k + 1] = uk = un
-            y0, y1 = y1, yn
-        return u
-    b = [0] * (size + 1)
-    b[:width] = [math.comb(n, j) for j in range(width)]
-    m23 = (m - 2) * (m - 3)
     z1 = z2 = 0  # z_(k-1), z_(k-2)
+    mm, m23 = m * (m - 1), (m - 2) * (m - 3)
     for k in range(size - 1):
-        s = y1 + y0
-        yn, r = divmod((4 * k + 10 - 4 * m) * z1 + (4 * k + 6 - 4 * m - 4 * n) * z2
-                       + m23 * s - 2 * y1 + mm * (b[k + 1] + b[k])
-                       + 4 * (k + 1 - cut) * (k - cut) * ct[k + 1], 2)
-        if r:
-            raise _inexact(m, mode, n, cut)
-        z2, z1 = z1, (k + 1) * yn + (k - n) * y1 - z1 + (k + 2 - cut) * ct[k + 2]
-        un, r = divmod((n - k) * uk + s - ct[k + 1], k + 1)
-        if r:
-            raise _inexact(m, mode, n, cut)
+        un, ru = divmod((n - k) * uk + y1 + y0 - ct[k + 1], k + 1)
+        if printed:
+            yn, ry = divmod((4 * k + 10 - 4 * m) * z1 + (4 * k + 6 - 4 * m - 4 * n) * z2
+                            + m23 * (y1 + y0) - 2 * y1 + mm * (b[k + 1] + b[k])
+                            + 4 * (k + 1 - cut) * (k - cut) * ct[k + 1], 2)
+            z2, z1 = z1, (k + 1) * yn + (k - n) * y1 - z1 + (k + 2 - cut) * ct[k + 2]
+        else:
+            yn, ry = divmod((4 * k + 4 - 4 * m) * y1 + (4 * k + 2 - 4 * m - 4 * n) * y0
+                            + mm * (un + uk) + 4 * (k + 1 - cut) * ct[k + 1], 2)
+        if ru or ry:
+            raise ValueError(f"non-integral division in the {mode} recurrence for "
+                             f"K_{m} times C({n}, j < {cut})")
         u[k + 1] = uk = un
         y0, y1 = y1, yn
     return u
-
-
-def _inexact(m: int, mode: str, n: int, cut: int) -> ValueError:
-    return ValueError(f"non-integral division in the {mode} recurrence for "
-                      f"K_{m} times C({n}, j < {cut})")
 
 
 M5_ORDER_2_NOTE = \

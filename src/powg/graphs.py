@@ -30,6 +30,13 @@ class Graph(namedtuple("Graph", "n adj labels")):
     __slots__ = ()
 
     def __new__(cls, n: int, adj: tuple[int, ...], labels: tuple[str, ...]) -> Graph:
+        if len(adj) != n:
+            raise ValueError(f"{n} vertices but {len(adj)} adjacency rows")
+        if len(labels) != n:
+            raise ValueError(f"{n} vertices but {len(labels)} labels")
+        if max(adj, default=0) >> n or min(adj, default=0) < 0:  # C passes, no step per row
+            v = next(v for v, row in enumerate(adj) if row >> n)
+            raise ValueError(f"vertex {v} has a neighbour bit >= {n}")
         for v in range(n):
             if adj[v] >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")

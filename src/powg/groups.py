@@ -107,6 +107,8 @@ class FiniteGroup(namedtuple("FiniteGroup", "order table labels rule")):
                 raise GroupError(f"order {order} is neither n nor 2n for the rule {rule}")
         elif len(table) != order:
             raise GroupError(f"order {order} but the table has {len(table)} rows")
+        if len(labels) != order:
+            raise GroupError(f"expected {order} labels, got {len(labels)}")
         if len(set(labels)) != order:
             raise GroupError("labels are not unique")
         return super().__new__(cls, order, table, labels, rule)

@@ -355,6 +355,17 @@ def test_recurrence_kernel_equals_the_convolution(mode, m, n, cut):
     assert _cut_binomial_product(m, mode, n, cut) == expected
 
 
+def kernel_grid_mismatches(top: int) -> list[tuple[str, int, int, int]]:
+    """The (mode, m, n, cut) with m, n <= top and 1 <= cut <= n + 2 where the
+    recurrence kernel differs from the convolution of the full K_m row with
+    the cut binomial row; CI runs it at top = 40."""
+    return [(mode, m, n, cut) for mode in MODES for m in range(top + 1)
+            for n in range(top + 1) for cut in range(1, n + 3)
+            if _cut_binomial_product(m, mode, n, cut)
+            != _convolve(list(_k_n_row(m, mode)),
+                         [math.comb(n, j) for j in range(min(cut, n + 1))])]
+
+
 def _derivative(poly):
     return [j * c for j, c in enumerate(poly)][1:]
 

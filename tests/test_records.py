@@ -125,6 +125,11 @@ def test_replace_and_make_run_the_constructor_checks():
         g._replace(labels=("a", "a"))
     with pytest.raises(GroupError, match="labels are not unique"):
         FiniteGroup._make([2, None, ("a", "a"), (2, 1)])
+    # a label count that differs from the order says so, even if the labels are distinct
+    with pytest.raises(GroupError, match="^expected 3 labels, got 2$"):
+        build_cyclic(3)._replace(labels=("a", "b"))
+    with pytest.raises(GroupError, match="^expected 2 labels, got 3$"):
+        FiniteGroup(2, None, ("a", "b", "c"), (2, 1))
 
     graph = build_power_graph(g)
     assert Graph._make(graph) == graph
@@ -132,3 +137,13 @@ def test_replace_and_make_run_the_constructor_checks():
         graph._replace(adj=(3, 1))
     with pytest.raises(ValueError, match="self-loop at vertex 1"):
         Graph._make([2, (2, 3), graph.labels])
+    with pytest.raises(ValueError, match="^2 vertices but 3 adjacency rows$"):
+        Graph(2, (2, 1, 0), ("a", "b"))
+    with pytest.raises(ValueError, match="^3 vertices but 2 adjacency rows$"):
+        Graph(3, (2, 1), ("a", "b", "c"))
+    with pytest.raises(ValueError, match="^2 vertices but 1 labels$"):
+        Graph(2, (2, 1), ("a",))
+    with pytest.raises(ValueError, match="^vertex 1 has a neighbour bit >= 2$"):
+        Graph(2, (2, 5), ("a", "b"))
+    with pytest.raises(ValueError, match="^vertex 0 has a neighbour bit >= 2$"):
+        Graph(2, (-2, 1), ("a", "b"))  # a negative row has every bit past its top
