@@ -16,6 +16,7 @@ count disagree).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .distance import hosoya_polynomial, rs_hosoya_polynomial, wiener_index
@@ -251,7 +252,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help and friends
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        return _DISPATCH[args.command](args)
+        rc = _DISPATCH[args.command](args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the flush at exit
+        return rc
+    except BrokenPipeError as exc:
+        # the reader left: stdout goes to devnull, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"powg: invalid input: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_INVALID
     except UsageError as exc:
         print(f"powg: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

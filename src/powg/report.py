@@ -13,13 +13,11 @@ import json
 import operator
 import time
 from collections import Counter
-from itertools import chain
 
 from . import __version__
 from .distance import distance_profile
 from .formulas import (
     MODES,
-    FamilyTable,
     family_matching_polynomial,
     paper_degree_claims,
     paper_edge_type_counts,
@@ -53,8 +51,7 @@ class ResultCache:
 
 
 def jsonable(value):
-    """Recursively convert to JSON-safe data; big ints become strings, and
-    a family table becomes the list of its dict rows."""
+    """Recursively convert to JSON-safe data; big ints become strings."""
     if isinstance(value, bool):
         return value
     if isinstance(value, int):
@@ -63,7 +60,7 @@ def jsonable(value):
         return value
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
-    if type(value) in (list, tuple, FamilyTable):  # a named tuple is not a JSON array
+    if type(value) in (list, tuple):  # a named tuple is not a JSON array
         return [jsonable(v) for v in value]
     if value is None or isinstance(value, str):
         return value
@@ -197,13 +194,13 @@ def compare(k: int, p: int, *, include_index: bool = True) -> dict:
     degrees = paper_degree_claims(k, p)
     kinds = paper_edge_type_counts(k, p)
     for mode in MODES:
-        total, rows = paper_hosoya_index(k, p, mode)
+        total, table = paper_hosoya_index(k, p, mode)
         paper_by_mode[mode] = {
             "hosoya_coefficients": coeffs,
             "rs_hosoya_terms": paper_rs_hosoya(k, p, mode).term_strings(),
             "degrees": degrees,
             "edge_kind_counts": kinds,
-            "hosoya_index": {"total": total, "families": rows},
+            "hosoya_index": {"total": total, "family_sums": table.sums()},
         }
     timings["formulas"] = time.perf_counter() - t0
 
@@ -246,14 +243,10 @@ def render_report(doc: dict) -> str:
     A dict is written as one row, value by value.  A list of plain dicts that
     share one set of str keys, such as the diff rows, takes the texts of each
     column in one pass (see _record_columns and _column_texts) and is
-    written row by row.  A family table is its count column, each count as
-    quote mark, digits and quote mark from whole-column map passes,
-    interleaved with the text between counts, built once per layout and
-    indentation, so a case's two modes share it (see _table_text).
+    written row by row.
     """
     chunks: list[str] = []
     out = chunks.append
-    between: dict = {}
 
     def write_rows(rows, keys: tuple, row_texts, newline: str) -> None:
         """Append dicts with the sorted str keys, given the JSON texts of
@@ -283,9 +276,6 @@ def render_report(doc: dict) -> str:
                 value = jsonable(value)  # str() keys; a collision keeps the last value
             keys = tuple(sorted(value))
             write_rows([value], keys, [map(_scalar_text, map(value.__getitem__, keys))], newline)
-            return
-        if type(value) is FamilyTable:
-            out(_table_text(value, newline, between))
             return
         if type(value) not in (list, tuple):
             out(_scalar_text(value))
@@ -362,32 +352,6 @@ def _int_reprs(values) -> list[str]:
         return list(map(_digits, values))
 
 
-def _table_text(table: FamilyTable, newline: str, between: dict) -> str:
-    """JSON text of jsonable(table): each count as its quote mark (a '"'
-    beyond 2^53, else none), digits and quote mark again, then the text up
-    to the next count (the row's family, note and order, the next row's
-    head), which between holds per (layout, newline).  Each column is one
-    map pass, so no Python-level step runs per count."""
-    counts = table.counts
-    if not counts:
-        return "[]"
-    inner, cell = newline + "  ", newline + "    "
-    head = inner + "{" + cell + '"count": '
-    texts = between.get((table.layout, newline))
-    if texts is None:
-        between.clear()  # a case's modes are adjacent: keep one layout's text
-        texts = []
-        for family, orders, note in table.layout:
-            lead = (f',{cell}"family": {_encode_str(family)},{cell}"note": '
-                    f'{_scalar_text(note)},{cell}"order": ')
-            texts += [f"{lead}{i}{inner}}},{head}" for i in orders]
-        texts[-1] = texts[-1][:-len(head) - 1] + newline + "]"
-        between[table.layout, newline] = texts
-    digits = _int_reprs(counts)
-    quotes = list(map(("", '"').__getitem__, map(JSON_SAFE_INT.__lt__, map(abs, counts))))
-    return "[" + head + "".join(chain.from_iterable(zip(quotes, digits, quotes, texts)))
-
-
 def _scalar_text(value) -> str | None:
     """JSON text of a scalar, or None for a container.  Values other than
     str, safe ints, bools and None follow jsonable (TypeError for unsupported
@@ -403,7 +367,7 @@ def _scalar_text(value) -> str | None:
         return "true"
     if value is False:
         return "false"
-    if isinstance(value, dict) or kind in (list, tuple, FamilyTable):
+    if isinstance(value, dict) or kind in (list, tuple):
         return None
     return json.dumps(jsonable(value))
 

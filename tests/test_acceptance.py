@@ -193,9 +193,8 @@ def test_criterion_7_full_verification(tmp_path):
         assert oracle_z == sum(case["oracle"]["matching_polynomial"])
         for mode in ("printed", "corrected"):
             block = case["paper"][mode]["hosoya_index"]
-            assert block["total"] == 1 + sum(t["count"] for t in block["families"])
-            assert {t["family"] for t in block["families"]} == \
-                {f"M{j}" for j in range(1, 16)}
+            assert block["total"] == 1 + sum(block["family_sums"].values())
+            assert set(block["family_sums"]) == {f"M{j}" for j in range(1, 16)}
         index_diffs = [d for d in case["diffs"] if d["invariant"] == "hosoya_index"]
         assert {d["mode"] for d in index_diffs} <= {"printed", "corrected"}
         # determinism: a second run is byte-identical once timings are stripped

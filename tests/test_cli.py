@@ -393,6 +393,24 @@ def test_unwritable_output_is_invalid_input(tmp_path, capsys):
     assert not missing.parent.exists()
 
 
+@pytest.mark.parametrize("argv,lines", [
+    # 1.4 MB of rows, far past what a pipe buffers: a later write meets the closed pipe
+    (["paper", "eval", "--k", "6", "--p", "7", "--which", "index"], 1),
+    # one short line, written after the reader has left
+    (["invariant", "matching-poly", "--cyclic", "30"], 0),
+])
+def test_closed_stdout_pipe_is_invalid_input(argv, lines):
+    proc = subprocess.Popen([sys.executable, "-m", "powg", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    for _ in range(lines):
+        proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert err == "powg: invalid input: cannot write stdout: Broken pipe\n"
+
+
 def test_group_info_histogram_matches_element_orders(tmp_path, capsys):
     for i, g in enumerate(oracle_groups()):
         path = tmp_path / f"g{i}.txt"
