@@ -51,6 +51,7 @@ from .matching import (
 from .formulas import (
     paper_degree_claims,
     paper_edge_type_counts,
+    paper_family_sums,
     paper_hosoya_coeffs,
     paper_hosoya_index,
     paper_rs_hosoya,

@@ -222,6 +222,8 @@ def _cmd_paper(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.skip_index_above < 0:
+        raise UsageError("--skip-index-above must be >= 0")
     ks = _parse_int_list(args.k)
     ps = _parse_int_list(args.p)
     if not ks or not ps:

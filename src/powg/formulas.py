@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import accumulate, islice
+from itertools import accumulate
 
 from .distance import RationalExponentPolynomial
 from .groups import FamilyParams
@@ -313,21 +313,54 @@ class FamilyTable:
         return (type(other) is FamilyTable and self.layout == other.layout
                 and self.counts == other.counts)
 
-    def sums(self) -> dict[str, int]:
-        """The sum of each family's counts, M5's two segments in one."""
-        sums, counts = {}, iter(self.counts)
-        for family, orders, _ in self.layout:
-            sums[family] = sums.get(family, 0) + sum(islice(counts, len(orders)))
-        return sums
-
 
 def paper_hosoya_index(k: int, p: int, mode: str = "printed") -> tuple[int, FamilyTable]:
     """Assemble the published total matching count: 1 plus the sum of every
     family count over the stated ranges.  Returns the total and the family
-    table, which paper eval prints row by row and reports sum by family."""
+    table, which paper eval prints row by row."""
     _check_mode(mode)
     table = FamilyTable(_family_table(FamilyParams(k, p), mode))
     return 1 + sum(table.counts), table
+
+
+def paper_family_sums(k: int, p: int, mode: str = "printed") -> dict[str, int]:
+    """The sum of each family's displayed counts, M1..M15, with no row built:
+    a family's sum is its polynomial at x = 1.  Every row of _family_table
+    that holds a product T B has count 0 at orders 0 and 1, so its slice
+    sums to the product of the two rows' sums.  With S(m) = sum(T(m)), the
+    mode's K_m row less its index 0, b(l) = 2^l - 1 = sum(B(l)), top the
+    last count of T(n-2), which M11's middle summand leaves out, and
+    C(m, lo..hi) the sum of C(m, j) over lo <= j <= hi:
+        M1 = S(n), M2 = half, M3 = n + half(half-1), M4 = b(q),
+        M5 = n S(n-1) + pairs S(n-2), M6 = S(n) b(q),
+        M7 = n(q-1) + n C(q-1, 2..q-2) + 2q C(q-1, 1..q-3)
+             + half(half-2) C(q-2, 1..q-3),
+        M8 = half S(n-1), M9 = half^2, M10 = half b(q),
+        M11 = n S(n-1) b(q-1) + half (S(n-2) b(q-1) - top)
+              + half(half-1) S(n-2) b(q-2),
+        M12 = half S(n-1) b(q), M13 = half^2 b(q-1), M14 = half n S(n-2),
+        M15 = half n S(n-2) C(n-1, 1..q-1).
+    """
+    _check_mode(mode)
+    params = FamilyParams(k, p)
+    n, half, q = params.n_r, params.half, params.quarter
+    s_n, s_n1, s_n2 = (sum(_k_n_row(m, mode)) - 1 for m in (n, n - 1, n - 2))
+    top = _k_n_row(n - 2, mode)[-1]
+    b_q, b_q1, b_q2 = ((1 << l) - 1 for l in (q, q - 1, q - 2))
+
+    def comb(m: int, lo: int, hi: int) -> int:  # C(m, lo..hi)
+        return sum(math.comb(m, j) for j in range(lo, hi + 1))
+
+    return dict(zip(FAMILY_TAGS, [
+        s_n, half, n + half * (half - 1), b_q,
+        n * s_n1 + half * (half - 1) // 2 * s_n2, s_n * b_q,
+        n * (q - 1) + n * comb(q - 1, 2, q - 2) + 2 * q * comb(q - 1, 1, q - 3)
+        + half * (half - 2) * comb(q - 2, 1, q - 3),
+        half * s_n1, half * half, half * b_q,
+        n * s_n1 * b_q1 + half * (s_n2 * b_q1 - top) + half * (half - 1) * s_n2 * b_q2,
+        half * s_n1 * b_q, half * half * b_q1, half * n * s_n2,
+        half * n * s_n2 * comb(n - 1, 1, q - 1),
+    ]))
 
 
 def family_matching_polynomial(k: int, p: int) -> list[int]:

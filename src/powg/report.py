@@ -21,8 +21,8 @@ from .formulas import (
     family_matching_polynomial,
     paper_degree_claims,
     paper_edge_type_counts,
+    paper_family_sums,
     paper_hosoya_coeffs,
-    paper_hosoya_index,
     paper_rs_hosoya,
 )
 from .graphs import build_power_graph, classify_edges, verify_structure_theorem
@@ -194,13 +194,13 @@ def compare(k: int, p: int, *, include_index: bool = True) -> dict:
     degrees = paper_degree_claims(k, p)
     kinds = paper_edge_type_counts(k, p)
     for mode in MODES:
-        total, table = paper_hosoya_index(k, p, mode)
+        sums = paper_family_sums(k, p, mode)
         paper_by_mode[mode] = {
             "hosoya_coefficients": coeffs,
             "rs_hosoya_terms": paper_rs_hosoya(k, p, mode).term_strings(),
             "degrees": degrees,
             "edge_kind_counts": kinds,
-            "hosoya_index": {"total": total, "family_sums": table.sums()},
+            "hosoya_index": {"total": 1 + sum(sums.values()), "family_sums": sums},
         }
     timings["formulas"] = time.perf_counter() - t0
 

@@ -7,6 +7,8 @@ bfs_distances and all_pairs_distances build full distance tables by queue
 BFS, against which the layer sizes of powg.distance are checked.
 reference_validate is the group-axiom check that checked inverses element
 by element, against which powg.groups._validate_table is compared.
+family_sums_of_rows adds up the rows of paper_hosoya_index family by
+family, against which the closed sums of paper_family_sums are compared.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import operator
 
 from powg import matching
+from powg.formulas import FAMILY_TAGS, paper_hosoya_index
 from powg.groups import GroupError
 from powg.graphs import Graph, _components
 from powg.matching import MatchingLimitError, MatchingPolynomial, _convolve
@@ -186,3 +189,11 @@ def reference_validate(table: tuple[tuple[int, ...], ...]) -> None:
         while frontier:
             frontier = {table[r][h] for r in frontier for h in gens} - reached
             reached |= frontier
+
+
+def family_sums_of_rows(k: int, p: int, mode: str) -> dict[str, int]:
+    """The sum of each family's rows in the family table of (k, p) and mode."""
+    sums = dict.fromkeys(FAMILY_TAGS, 0)
+    for row in paper_hosoya_index(k, p, mode)[1]:
+        sums[row["family"]] += row["count"]
+    return sums

@@ -367,6 +367,14 @@ def test_main_returns_codes_in_process(tmp_path):
     assert main(["verify", "--k", "1", "--p", "3", "--no-cache"]) == 2
 
 
+def test_negative_skip_index_above_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["verify", "--k", "2", "--p", "3", "--skip-index-above", "-5",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "powg: error: --skip-index-above must be >= 0\n")
+    assert not out.exists()
+
+
 def test_verify_above_max_order_is_invalid_input(tmp_path, capsys):
     # the default index cut-off is MAX_ORDER itself; one order past it is
     # rejected before any work, as before

@@ -16,11 +16,13 @@ from powg import (
     build_power_graph,
     paper_degree_claims,
     paper_edge_type_counts,
+    paper_family_sums,
     paper_hosoya_coeffs,
     paper_hosoya_index,
     paper_rs_hosoya,
 )
 import powg.formulas
+import powg.groups
 from powg.formulas import (
     FAMILY_TAGS,
     M5_ORDER_2_NOTE,
@@ -35,6 +37,7 @@ from powg.formulas import (
 from powg.groups import MAX_ORDER, _is_odd_prime
 import powg.matching
 from powg.matching import _binomial_times, _convolve, _k_n_row, complete_graph_matchings
+from oracles import family_sums_of_rows
 
 
 def test_hosoya_coeffs():
@@ -299,6 +302,15 @@ VALID_CASES = [(k, p) for k in range(2, 10) for p in range(3, 257, 2)
                if _is_odd_prime(p) and (2 << k) * p <= MAX_ORDER]
 
 
+def test_family_sums_equal_the_rows_past_the_cap(monkeypatch):
+    # orders 1536 to 4072, with the cap raised: the closed sums at x = 1
+    # against the rows added up family by family (about 1.3 s)
+    monkeypatch.setattr(powg.groups, "MAX_ORDER", 4096)
+    for k, p in [(8, 3), (7, 11), (9, 3), (6, 31), (4, 127), (2, 509)]:
+        for mode in MODES:
+            assert paper_family_sums(k, p, mode) == family_sums_of_rows(k, p, mode), (k, p, mode)
+
+
 def test_family_table_pinned_on_the_ladder():
     assert len(VALID_CASES) == 66
     assert family_table_digest(LADDER) == LADDER_TABLE_SHA256
@@ -435,7 +447,7 @@ def test_both_mode_checks_raise_one_message():
     assert powg.formulas.MODES is powg.matching.MODES == ("printed", "corrected")
     message = "unknown mode 'x' (expected 'printed' or 'corrected')"
     for call in (lambda: complete_graph_matchings(4, 1, "x"), lambda: paper_rs_hosoya(2, 3, "x"),
-                 lambda: paper_hosoya_index(2, 3, "x")):
+                 lambda: paper_hosoya_index(2, 3, "x"), lambda: paper_family_sums(2, 3, "x")):
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == message

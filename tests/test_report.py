@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from powg import FamilyParams, MatchingPolynomial, report
 from powg.cli import main
-from powg.formulas import FAMILY_TAGS, MODES, FamilyTable, paper_hosoya_index
+from powg.formulas import MODES, FamilyTable
 from powg.report import JSON_SAFE_INT, jsonable, render_report, strip_timings, verify_cases
+from oracles import family_sums_of_rows
 
 # sha256 of the timing-stripped report below, recorded when each mode's
 # family rows gave way to its family sums; the earlier report with its rows
@@ -284,15 +285,15 @@ LADDER = [(k, p) for k in range(2, 7) for p in (3, 5, 7)]
 def family_sum_mismatches(cases) -> list:
     """The (k, p, mode) whose verify report holds other family sums than the
     rows of paper_hosoya_index add up to, family by family, or a total other
-    than 1 plus their sum."""
+    than 1 plus their sum.  Two different computations meet here: the report
+    takes each sum at x = 1 from a few scalars (paper_family_sums), and the
+    rows are the family table's per-order counts."""
     bad = []
     for k, p in cases:
         paper = verify_cases([k], [p], skip_index_above=0)["cases"][0]["paper"]
         for mode in MODES:
             block = paper[mode]["hosoya_index"]
-            sums = dict.fromkeys(FAMILY_TAGS, 0)
-            for row in paper_hosoya_index(k, p, mode)[1]:
-                sums[row["family"]] += row["count"]
+            sums = family_sums_of_rows(k, p, mode)
             if block["family_sums"] != sums or block["total"] != 1 + sum(sums.values()):
                 bad.append((k, p, mode))
     return bad
@@ -347,7 +348,7 @@ def test_no_record_reaches_a_report_document():
     object(), {"x": [1, {2, 3}]}, {1: b"bytes"},
     # records are tuple subclasses, not JSON arrays
     {"x": FamilyParams(2, 3)}, {"x": [MatchingPolynomial((1,))]},
-    # a family table is no list: reports hold its sums (FamilyTable.sums)
+    # a family table is no list: reports hold family sums (paper_family_sums)
     {"x": FamilyTable({"M2": (range(1, 3), [1, 2])})},
 ])
 def test_render_report_rejects_unsupported_types(doc):
