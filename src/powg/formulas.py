@@ -104,14 +104,6 @@ def paper_rs_hosoya(k: int, p: int, mode: str = "printed") -> RationalExponentPo
     return RationalExponentPolynomial.from_scaled(1, terms)  # integer exponents
 
 
-# the least quarter q at which _family_table takes its binomial products from
-# the recurrence kernel; below it the (1 + x) passes and the convolution, whose
-# inner loops run in C, are faster.  For the three products taken either way
-# (m11_n, m11_q, m15), summed over both modes, the paths break even at q = 22
-# to 23, printed mode alone at q = 28 to 29 (times in BENCH_pr34.json)
-RECURRENCE_MIN_QUARTER = 28
-
-
 def _family_table(params: FamilyParams, mode: str) -> dict[str, tuple[range, list[int]]]:
     """The stated order range and the counts M_family^i over it of every
     family, exactly as displayed, in the order M1..M15; q is the quarter.
@@ -136,13 +128,9 @@ def _family_table(params: FamilyParams, mode: str) -> dict[str, tuple[range, lis
     q x T (1 + x)^(q-1); with b = (1 + x)^q,
         corrected: T(n) b = m12 + (n-1) x ((1 + x) m11_p + b),
         printed:   T(n) b = m12 + (n-1) x (theta((1 + x) m11_p) - q x m11_p + b).
-    The three other T b (m11_n, m11_q, m15) take one of two exact paths,
-    chosen by q.  Below
-    RECURRENCE_MIN_QUARTER, T (1 + x)^l is l whole-row passes of
-    _binomial_times, and m15 is a convolution: O(q n) big-int operations,
-    each pass in C.  From it on, they are read off coefficient recurrences
-    as t b - b (_cut_binomial_product, with t the full K_m row, t_0 = 1),
-    O(n) big-int operations in a Python loop: t solves
+    The three other T b (m11_n, m11_q, m15) are read off coefficient
+    recurrences as t b - b (_cut_binomial_product, with t the full K_m row,
+    t_0 = 1), O(n) big-int operations: t solves
         corrected: 4x^2 t'' - ((4m-6)x + 2) t' + m(m-1) t = 0,
         printed:   4x^3 t''' + (14-4m) x^2 t'' + ((m-2)(m-3)x - 2) t' + m(m-1) = 0,
     and the cut row b = sum_(j<cut) C(N, j) x^j solves
@@ -169,12 +157,8 @@ def _family_table(params: FamilyParams, mode: str) -> dict[str, tuple[range, lis
         return u
 
     # m15's row is printed as C(2^k p - 1, m) but cut off beyond q - 1
-    if q >= RECURRENCE_MIN_QUARTER:
-        m11_n, m11_q = by_recurrence(n - 1, q - 1, q), by_recurrence(n - 2, q - 2, q - 1)
-        m15 = by_recurrence(n - 2, n - 1, q)
-    else:
-        m11_n, m11_q = _binomial_times(t_n1, q - 1), _binomial_times(t_n2, q - 2)
-        m15 = _convolve(t_n2, comb(n - 1, 0, q))
+    m11_n, m11_q = by_recurrence(n - 1, q - 1, q), by_recurrence(n - 2, q - 2, q - 1)
+    m15 = by_recurrence(n - 2, n - 1, q)
     m12, m11_p = _binomial_times(m11_n, 1), _binomial_times(m11_q, 1)
     m6 = _clique_product(m12, m11_p, n, q, mode)
     m6, m11_n, m12, m11_q, m11_p, m15 = (
@@ -280,47 +264,19 @@ M5_ORDER_2_NOTE = \
     "second summand undefined as displayed at order 2 (1/(i-2) factor); contributed 0"
 
 
-class FamilyTable:
-    """The family table of one case and mode.  It iterates one dict per
-    (family, order) with the keys "family", "order", "count" and "note", in
-    that order.  layout, the same in both modes, holds one (family, orders,
-    note) segment per family, M5 split at its noted order 2; counts is the
-    mode's count list, which must fit the orders (else ValueError)."""
-
-    __slots__ = ("layout", "counts")
-
-    def __init__(self, families: dict[str, tuple[range, list[int]]]) -> None:
-        layout, self.counts = [], []
-        for family, (orders, counts) in families.items():
-            if len(counts) != len(orders):
-                raise ValueError(f"{family} has {len(counts)} counts for {len(orders)} orders")
-            if family == "M5":  # M5 opens at order 2
-                layout.append((family, orders[:1], M5_ORDER_2_NOTE))
-                orders = orders[1:]
-            layout.append((family, orders, None))
-            self.counts += counts
-        self.layout = tuple(layout)
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
-    def __iter__(self):
-        keys = ((family, i, note) for family, orders, note in self.layout for i in orders)
-        for (family, i, note), count in zip(keys, self.counts):
-            yield {"family": family, "order": i, "count": count, "note": note}
-
-    def __eq__(self, other) -> bool:
-        return (type(other) is FamilyTable and self.layout == other.layout
-                and self.counts == other.counts)
-
-
-def paper_hosoya_index(k: int, p: int, mode: str = "printed") -> tuple[int, FamilyTable]:
+def paper_hosoya_index(k: int, p: int, mode: str = "printed") -> tuple[int, list[dict]]:
     """Assemble the published total matching count: 1 plus the sum of every
     family count over the stated ranges.  Returns the total and the family
-    table, which paper eval prints row by row."""
+    rows, which paper eval prints row by row: one dict with the keys
+    "family", "order", "count" and "note" per family and order, M1..M15.
+    The note is M5_ORDER_2_NOTE at ("M5", 2) and None elsewhere; a count
+    list that does not fit its family's orders raises ValueError."""
     _check_mode(mode)
-    table = FamilyTable(_family_table(FamilyParams(k, p), mode))
-    return 1 + sum(table.counts), table
+    rows = [{"family": family, "order": i, "count": count,
+             "note": M5_ORDER_2_NOTE if family == "M5" and i == 2 else None}
+            for family, (orders, counts) in _family_table(FamilyParams(k, p), mode).items()
+            for i, count in zip(orders, counts, strict=True)]
+    return 1 + sum(row["count"] for row in rows), rows
 
 
 def paper_family_sums(k: int, p: int, mode: str = "printed") -> dict[str, int]:

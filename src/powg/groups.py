@@ -44,15 +44,20 @@ class FamilyParams(namedtuple("FamilyParams", "k p")):
     def __new__(cls, k: int, p: int) -> FamilyParams:
         if not isinstance(k, int) or k < 2:
             raise ValueError(f"k must be an integer >= 2, got {k!r}")
-        if not isinstance(p, int) or not _is_odd_prime(p):
-            raise ValueError(f"p must be an odd prime, got {p!r}")
-        self = super().__new__(cls, k, p)
-        if self.order > MAX_ORDER:
+        odd = isinstance(p, int) and p >= 3 and p % 2 == 1
+        # the cap is tested first and builds no 2^(k+1), so trial division
+        # runs only on p <= MAX_ORDER / 8; an order past the 4,300 digits
+        # that int's str writes is given as 2^(k+1)*p
+        if odd and p > MAX_ORDER >> (k + 1):
+            small = k + p.bit_length() < 14300 and (2 << k) * p < 10 ** 4300
+            text = (2 << k) * p if small else f"2^{k + 1}*{p}"
             raise ValueError(
-                f"group order 2^(k+1)*p = {self.order} exceeds the supported "
+                f"group order 2^(k+1)*p = {text} exceeds the supported "
                 f"exact-table size ({MAX_ORDER})"
             )
-        return self
+        if not odd or not _is_odd_prime(p):
+            raise ValueError(f"p must be an odd prime, got {p!r}")
+        return super().__new__(cls, k, p)
 
     @classmethod
     def _make(cls, iterable) -> FamilyParams:  # so _replace validates too

@@ -15,7 +15,7 @@ from powg import GroupError, MatchingEngine, MatchingLimitError, MatchingPolynom
     build_cyclic, build_power_graph, element_order, export, load_cayley_table, telephone_number
 from powg import cli
 from powg.cli import UsageError, build_parser, main
-from powg.formulas import M5_ORDER_2_NOTE, FamilyTable
+from powg.formulas import M5_ORDER_2_NOTE
 from powg.report import jsonable, strip_timings
 
 
@@ -385,6 +385,20 @@ def test_verify_above_max_order_is_invalid_input(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("k,p,order", [
+    # 2^61 - 1 is prime: the cap is tested before trial division up to its root
+    (2, (1 << 61) - 1, str(8 * ((1 << 61) - 1))),
+    # an order past the 4,300 digits that int's str writes
+    (20000, 3, "2^20001*3"),
+    # an odd composite p over the cap meets the cap first
+    (2, 1001, "8008"),
+])
+def test_family_past_the_cap_is_invalid_input_at_once(k, p, order, capsys):
+    assert main(["paper", "eval", "--k", str(k), "--p", str(p), "--which", "hosoya"]) == 2
+    assert capsys.readouterr() == ("", f"powg: invalid input: group order 2^(k+1)*p = {order} "
+                                       "exceeds the supported exact-table size (1024)\n")
+
+
 def test_bigint_serialization():
     assert jsonable({"z": 2**60, "small": 7}) == {"z": str(2**60), "small": 7}
     assert jsonable([True, 2**54]) == [True, str(2**54)]
@@ -540,8 +554,9 @@ def test_text_outputs_write_ints_past_the_digit_limit(sign, monkeypatch, capsys)
     assert main(["invariant", "hosoya-index", "--cyclic", "4"]) == 0
     assert capsys.readouterr().out == digits + "\n"
 
-    table = FamilyTable({"M5": (range(2, 4), [value, -value])})
-    monkeypatch.setattr(cli, "paper_hosoya_index", lambda k, p, mode: (value, table))
+    rows = [{"family": "M5", "order": 2, "count": value, "note": M5_ORDER_2_NOTE},
+            {"family": "M5", "order": 3, "count": -value, "note": None}]
+    monkeypatch.setattr(cli, "paper_hosoya_index", lambda k, p, mode: (value, rows))
     assert main(["paper", "eval", "--k", "2", "--p", "3", "--which", "index"]) == 0
     assert capsys.readouterr().out == \
         f"total={digits}\nM5[2]={digits}  # {M5_ORDER_2_NOTE}\nM5[3]={other}\n"

@@ -27,7 +27,6 @@ from powg.formulas import (
     FAMILY_TAGS,
     M5_ORDER_2_NOTE,
     MODES,
-    FamilyTable,
     _chain_matchings,
     _clique_product,
     _cut_binomial_product,
@@ -207,30 +206,33 @@ def test_assembly_notes_only_m5_order_two():
 
 def test_family_table_keeps_the_row_contract():
     families = _family_table(FamilyParams(2, 3), "printed")
-    total, table = paper_hosoya_index(2, 3, "printed")
-    rows = list(table)
-    assert len(table) == len(rows) == sum(len(orders) for orders, _ in families.values())
+    total, rows = paper_hosoya_index(2, 3, "printed")
+    assert type(rows) is list and all(type(row) is dict for row in rows)
+    assert len(rows) == sum(len(orders) for orders, _ in families.values())
     assert all(list(row) == ["family", "order", "count", "note"] for row in rows)
-    assert [row["count"] for row in rows] == [c for _, counts in families.values() for c in counts]
-    assert [row["order"] for row in rows if row["family"] == "M5"] == list(families["M5"][0])
-    assert [row["note"] for row in rows].count(M5_ORDER_2_NOTE) == 1
-    assert table == FamilyTable(families) == paper_hosoya_index(2, 3, "printed")[1]
-    assert table != paper_hosoya_index(2, 3, "corrected")[1]  # same layout, other counts
-    assert table.layout == paper_hosoya_index(2, 3, "corrected")[1].layout
-    assert table != paper_hosoya_index(2, 5, "printed")[1]
-    orders, counts = families["M9"]
-    changed = FamilyTable({**families, "M9": (orders, [counts[0] + 1])})
-    assert table != changed and len(changed) == len(table)
+    assert [(row["family"], row["order"], row["count"]) for row in rows] == \
+        [(family, i, c) for family, (orders, counts) in families.items()
+         for i, c in zip(orders, counts)]
+    assert [row["note"] for row in rows] == \
+        [M5_ORDER_2_NOTE if (row["family"], row["order"]) == ("M5", 2) else None for row in rows]
+    assert total == 1 + sum(row["count"] for row in rows)
+    assert rows == paper_hosoya_index(2, 3, "printed")[1]
+    corrected = paper_hosoya_index(2, 3, "corrected")[1]
+    assert rows != corrected  # same families and orders, other counts
+    assert [(row["family"], row["order"]) for row in rows] == \
+        [(row["family"], row["order"]) for row in corrected]
+    assert rows != paper_hosoya_index(2, 5, "printed")[1]
 
 
 @pytest.mark.parametrize("family", ["M1", "M5", "M15"])
-def test_family_table_rejects_a_count_list_one_short(family):
+def test_family_table_rejects_a_count_list_one_short(family, monkeypatch):
     families = _family_table(FamilyParams(2, 5), "corrected")
     orders, counts = families[family]
-    with pytest.raises(ValueError):
-        FamilyTable({**families, family: (orders, counts[:-1])})
-    with pytest.raises(ValueError):
-        FamilyTable({**families, family: (orders, counts + [0])})
+    for wrong in (counts[:-1], counts + [0]):  # one count short, one count long
+        monkeypatch.setattr(powg.formulas, "_family_table",
+                            lambda params, mode: {**families, family: (orders, wrong)})
+        with pytest.raises(ValueError):
+            paper_hosoya_index(2, 5, "corrected")
 
 
 def test_invalid_params_raise():
@@ -333,9 +335,9 @@ def binomial_product(row, power):
 
 @pytest.mark.parametrize("k,p", LADDER)
 def test_pascal_rows_equal_direct_convolutions(k, p):
-    # the five T (1 + x)^l that _family_table takes from whole-row passes
-    # below RECURRENCE_MIN_QUARTER: m6 over T(n), m11_n and m12 over T(n-1),
-    # m11_q and m11_p over T(n-2)
+    # the five T (1 + x)^l of _family_table by whole-row passes, the reference
+    # for its kernel and clique products: m6 over T(n), m11_n and m12 over
+    # T(n-1), m11_q and m11_p over T(n-2)
     params = FamilyParams(k, p)
     n, q = params.n_r, params.quarter
     for mode in MODES:
@@ -428,8 +430,8 @@ def _zeroed(row):
 
 @pytest.mark.parametrize("k,p", LADDER)
 def test_clique_product_equals_the_convolution_on_either_path(k, p):
-    # m6 = T(n) (1 + x)^q from m12 and m11_p, each taken as _family_table
-    # takes it below RECURRENCE_MIN_QUARTER (passes) and from it on (kernel)
+    # m6 = T(n) (1 + x)^q from m12 and m11_p, with m11_n and m11_q taken
+    # both by (1 + x) passes and, as _family_table takes them, by the kernel
     params = FamilyParams(k, p)
     n, q = params.n_r, params.quarter
     for mode in MODES:
@@ -455,9 +457,8 @@ def test_both_mode_checks_raise_one_message():
 
 def kernel_product_mismatches(cases) -> list[tuple[int, int, str, str]]:
     """The (k, p, mode, product) where a product t b of the recurrence kernel
-    differs from the (1 + x) passes or the convolution that _family_table
-    takes below RECURRENCE_MIN_QUARTER; called directly, so every q is
-    checked.  t is the full K_m row.  Also "m6 clique", where the m6 that
+    differs from the reference, the (1 + x) passes of _binomial_times or the
+    convolution.  t is the full K_m row.  Also "m6 clique", where the m6 that
     _family_table derives from m12 and m11_p by the clique recurrence
     differs from T(n) (1 + x)^q by passes, T the row with index 0 set to 0."""
     bad = []
@@ -493,12 +494,6 @@ def test_kernel_products_equal_the_pascal_rows(k, p):
             assert row == binomial_product(t_row, power)
             # m12 and m11_p: one more (1 + x) step
             assert _binomial_times(row, 1) == binomial_product(t_row, power + 1)
-
-
-@pytest.mark.parametrize("q_min", [0, 1 << 30])
-def test_family_table_pinned_on_the_ladder_by_either_path(q_min, monkeypatch):
-    monkeypatch.setattr(powg.formulas, "RECURRENCE_MIN_QUARTER", q_min)
-    assert family_table_digest(LADDER) == LADDER_TABLE_SHA256
 
 
 def test_recurrence_kernel_raises_on_an_inexact_division(monkeypatch):

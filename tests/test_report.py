@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from powg import FamilyParams, MatchingPolynomial, report
 from powg.cli import main
-from powg.formulas import MODES, FamilyTable
+from powg.formulas import MODES
 from powg.report import JSON_SAFE_INT, jsonable, render_report, strip_timings, verify_cases
 from oracles import family_sums_of_rows
 
@@ -348,8 +348,6 @@ def test_no_record_reaches_a_report_document():
     object(), {"x": [1, {2, 3}]}, {1: b"bytes"},
     # records are tuple subclasses, not JSON arrays
     {"x": FamilyParams(2, 3)}, {"x": [MatchingPolynomial((1,))]},
-    # a family table is no list: reports hold family sums (paper_family_sums)
-    {"x": FamilyTable({"M2": (range(1, 3), [1, 2])})},
 ])
 def test_render_report_rejects_unsupported_types(doc):
     with pytest.raises(TypeError):
